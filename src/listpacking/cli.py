@@ -189,8 +189,13 @@ def cmd_scan(args) -> int:
     for n in range(1, args.size + 1):
         g = complete_graph(n)
         chi = chromatic_number(g, budget)
-        chi_list = list_chromatic_number(g, args.max_k or n, budget).value
-        chi_star = list_packing_number(g, args.max_k or n, budget).value
+        try:
+            chi_list = list_chromatic_number(g, args.max_k or n, budget).value
+            chi_star = list_packing_number(g, args.max_k or n, budget).value
+        except BoundExceededError as exc:
+            _verdict("negative")
+            print(f"K_{n}: chi_list or chi_star exceeds the bound {exc.bound}")
+            return EXIT_NEGATIVE
         rows.append((n, chi, chi_list, chi_star))
     _verdict("ok", args.size)
     print("n,chi,chi_list,chi_star,ratio")

@@ -10,10 +10,15 @@ gets the color, and everyone else deletes it from their list.  The stable
 matching is exactly a kernel of the pool under those preferences, which is
 why an edge loses a color only when a dominating neighbor got colored -- so
 lists of size at least the maximum degree never run dry.
+
+Cost: a color -> wanting-edges index is built once in O(sum of |L(e)|); the
+colors are then walked in ascending order, and each round costs
+O(|pool| log |pool|) for its pool, stable matching and kernel check.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from .graphs import Bipartition, Edge, Graph
@@ -133,37 +138,40 @@ def stable_matching(pool, prefs: PreferenceSystem) -> set[Edge]:
     if not edges:
         raise ValueError("stable matching of an empty edge pool is undefined")
     bip = prefs.bipartition
-    proposals: dict[int, list[Edge]] = {}
+    colors = prefs.base.colors
+    # proposals[x] = x's pool edges as (base color, y, edge), best first
+    proposals: dict[int, list[tuple[int, int, Edge]]] = {}
     for e in edges:
-        x, _ = bip.split_edge(e)
-        proposals.setdefault(x, []).append(e)
+        x, y = bip.split_edge(e)
+        proposals.setdefault(x, []).append((colors[e], y, e))
     for lst in proposals.values():
-        lst.sort(key=prefs.color, reverse=True)
-    pointer = {x: 0 for x in proposals}
-    free = sorted(proposals)
-    held: dict[int, Edge] = {}
+        lst.sort(reverse=True)
+    pointer = dict.fromkeys(proposals, 0)
+    # The X-optimal stable matching does not depend on the proposal order,
+    # so a FIFO queue of free proposers suffices.
+    free = deque(sorted(proposals))
+    held: dict[int, tuple[int, int, Edge]] = {}  # y -> (base color, x, edge)
     while free:
-        x = free.pop(0)
+        x = free.popleft()
         if pointer[x] >= len(proposals[x]):
             continue  # exhausted every pool edge; stays unmatched
-        e = proposals[x][pointer[x]]
+        c, y, e = proposals[x][pointer[x]]
         pointer[x] += 1
-        _, y = bip.split_edge(e)
         if y not in held:
-            held[y] = e
-        elif prefs.color(e) < prefs.color(held[y]):
-            loser, _ = bip.split_edge(held[y])
-            held[y] = e
-            free.append(loser)
-            free.sort()
+            held[y] = (c, x, e)
+        elif c < held[y][0]:
+            free.append(held[y][1])
+            held[y] = (c, x, e)
         else:
             free.append(x)
-            free.sort()
-    return set(held.values())
+    return {e for _, _, e in held.values()}
 
 
 def kernel_check(pool, prefs: PreferenceSystem, matching) -> bool:
-    """Direct double-loop test of the stable_matching postcondition."""
+    """Test of the stable_matching postcondition in one pass over the pool:
+    the matching lies inside the pool, is vertex-disjoint, and absorbs every
+    other pool edge xy by a matched edge at x of higher base color or a
+    matched edge at y of lower base color."""
     pool = set(pool)
     m = set(matching)
     if not m <= pool:
@@ -174,17 +182,22 @@ def kernel_check(pool, prefs: PreferenceSystem, matching) -> bool:
             return False
         used.update(e)
     bip = prefs.bipartition
+    colors = prefs.base.colors
+    # The matching is vertex-disjoint, so each vertex has at most one
+    # matched edge, and its base color decides absorption at that vertex.
+    matched_at_x: dict[int, int] = {}
+    matched_at_y: dict[int, int] = {}
+    for e in m:
+        x, y = bip.split_edge(e)
+        matched_at_x[x] = matched_at_y[y] = colors[e]
     for e in pool - m:
         x, y = bip.split_edge(e)
-        absorbed = False
-        for other in m:
-            ox, oy = bip.split_edge(other)
-            if ox == x and prefs.color(other) > prefs.color(e):
-                absorbed = True
-            if oy == y and prefs.color(other) < prefs.color(e):
-                absorbed = True
-        if not absorbed:
-            return False
+        c = colors[e]
+        if x in matched_at_x and matched_at_x[x] > c:
+            continue
+        if y in matched_at_y and matched_at_y[y] < c:
+            continue
+        return False
     return True
 
 
@@ -218,26 +231,32 @@ def list_edge_color_trace(
             )
     base = edge_color_bipartite(g, bip)
     prefs = PreferenceSystem(base, bip)
-    remaining = {e: set(cs) for e, cs in edge_lists.items()}
-    uncolored = set(g.edges)
+    # wanting[c] = the edges whose lists hold c, in sorted edge order.  Each
+    # round empties its own color's bucket, so walking the colors upward
+    # visits exactly the rounds of "smallest color still wanted".
+    wanting: dict[int, list[Edge]] = {}
+    for e in sorted(g.edges):
+        for c in edge_lists[e]:
+            wanting.setdefault(c, []).append(e)
     result: dict[Edge, int] = {}
     trace = GalvinTrace(deletions={e: 0 for e in g.edges})
-    while uncolored:
-        alpha = min(min(remaining[e]) for e in uncolored)
-        pool = sorted(e for e in uncolored if alpha in remaining[e])
+    for alpha in sorted(wanting):
+        pool = [e for e in wanting[alpha] if e not in result]
+        if not pool:
+            continue
         matched = stable_matching(pool, prefs)
         if not kernel_check(pool, prefs, matched):
             raise RuntimeError("internal error: round matching is not a kernel")
         for e in matched:
             result[e] = alpha
-            uncolored.discard(e)
         for e in pool:
             if e not in matched:
-                remaining[e].discard(alpha)
                 trace.deletions[e] += 1
-                if not remaining[e]:
+                if trace.deletions[e] == len(edge_lists[e]):
                     raise RuntimeError(f"internal error: list at {e} ran dry")
         trace.rounds.append(RoundTrace(alpha, tuple(pool), tuple(sorted(matched))))
+    if len(result) != len(g.edges):
+        raise RuntimeError("internal error: rounds ended with edges uncolored")
     problems = verify_edge_coloring(g, result, edge_lists)
     if problems:
         raise RuntimeError("internal error: " + "; ".join(problems))

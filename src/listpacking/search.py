@@ -120,31 +120,46 @@ def _color_search(g: Graph, ell: ListAssignment, ticker: _Ticker) -> Coloring | 
         raise ValueError("list assignment domain does not match the vertex set")
     domains: dict[int, set[int]] = {v: set(ell[v]) for v in g.vertices()}
     assignment: Coloring = {}
-
-    def place(idx: int) -> bool:
-        if idx > g.n:
-            return True
-        v = idx
-        for c in sorted(domains[v]):
-            ticker.spend()
-            assignment[v] = c
-            pruned: list[int] = []
-            wiped = False
-            for w in g.neighbors(v):
-                if w not in assignment and c in domains[w]:
-                    domains[w].discard(c)
-                    pruned.append(w)
-                    if not domains[w]:
-                        wiped = True
-                        break
-            if not wiped and place(idx + 1):
-                return True
-            for w in pruned:
+    if g.n == 0:
+        return {}
+    # Depth-first over vertices 1..n with an explicit stack: per vertex, the
+    # colors it tries (its domain on arrival), the next one to try, and the
+    # neighbors its current color was pruned from.
+    options: list[list[int]] = [[] for _ in range(g.n + 1)]
+    pos = [0] * (g.n + 1)
+    pruned: list[list[int]] = [[] for _ in range(g.n + 1)]
+    v = 1
+    options[v] = sorted(domains[v])
+    while True:
+        if v in assignment:  # the current color failed: take it back
+            c = assignment.pop(v)
+            for w in pruned[v]:
                 domains[w].add(c)
-            del assignment[v]
-        return False
-
-    return dict(assignment) if place(1) else None
+        if pos[v] == len(options[v]):
+            v -= 1
+            if v == 0:
+                return None
+            continue
+        c = options[v][pos[v]]
+        pos[v] += 1
+        ticker.spend()
+        assignment[v] = c
+        pruned[v] = []
+        wiped = False
+        for w in g.neighbors(v):
+            if w not in assignment and c in domains[w]:
+                domains[w].discard(c)
+                pruned[v].append(w)
+                if not domains[w]:
+                    wiped = True
+                    break
+        if wiped:
+            continue
+        if v == g.n:
+            return dict(assignment)
+        v += 1
+        options[v] = sorted(domains[v])
+        pos[v] = 0
 
 
 def solve_packing(
@@ -188,31 +203,47 @@ def _packing_search(
     def compatible(p: tuple[int, ...], q: tuple[int, ...]) -> bool:
         return all(a != b for a, b in zip(p, q))
 
-    def place(v: int) -> bool:
-        if v > g.n:
-            return True
-        for p in domains[v]:
-            ticker.spend()
-            chosen[v] = p
-            saved: list[tuple[int, list[tuple[int, ...]]]] = []
-            wiped = False
-            for w in g.neighbors(v):
-                if w not in chosen:
-                    kept = [q for q in domains[w] if compatible(p, q)]
-                    saved.append((w, domains[w]))
-                    domains[w] = kept
-                    if not kept:
-                        wiped = True
-                        break
-            if not wiped and place(v + 1):
-                return True
-            for w, old in saved:
+    if g.n == 0:
+        return tuple({} for _ in range(k))
+    # Depth-first with an explicit stack, as in _color_search: per vertex,
+    # its domain on arrival, the next tuple to try, and the neighbor domains
+    # its current tuple replaced.
+    options: list[list[tuple[int, ...]]] = [[] for _ in range(g.n + 1)]
+    pos = [0] * (g.n + 1)
+    saved: list[list[tuple[int, list[tuple[int, ...]]]]] = [[] for _ in range(g.n + 1)]
+    v = 1
+    options[v] = domains[v]
+    while True:
+        if v in chosen:  # the current tuple failed: take it back
+            for w, old in saved[v]:
                 domains[w] = old
             del chosen[v]
-        return False
-
-    if not place(1):
-        return None
+        if pos[v] == len(options[v]):
+            v -= 1
+            if v == 0:
+                return None
+            continue
+        p = options[v][pos[v]]
+        pos[v] += 1
+        ticker.spend()
+        chosen[v] = p
+        saved[v] = []
+        wiped = False
+        for w in g.neighbors(v):
+            if w not in chosen:
+                kept = [q for q in domains[w] if compatible(p, q)]
+                saved[v].append((w, domains[w]))
+                domains[w] = kept
+                if not kept:
+                    wiped = True
+                    break
+        if wiped:
+            continue
+        if v == g.n:
+            break
+        v += 1
+        options[v] = domains[v]
+        pos[v] = 0
     return tuple({v: chosen[v][j] for v in g.vertices()} for j in range(k))
 
 

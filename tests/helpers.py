@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from listpacking import Graph
+from listpacking import Graph, ListAssignment
 
 
 def all_graphs_up_to_iso(max_n: int) -> list[Graph]:
@@ -36,3 +36,12 @@ def path_graph(n: int) -> Graph:
 def cycle_graph(n: int) -> Graph:
     edges = [(i, i + 1) for i in range(1, n)] + [(1, n)]
     return Graph.from_edges(n, edges)
+
+
+def long_path_instance(n=3000):
+    """A path far longer than Python's recursion limit, with 3-lists from 5
+    colors that admit a packing of size 3."""
+    triples = list(combinations(range(1, 6), 3))
+    ell = ListAssignment({v: frozenset(triples[v % len(triples)]) for v in range(1, n + 1)})
+    return path_graph(n), ell
+

@@ -16,6 +16,7 @@ from listpacking.formats import (
     parse_packing,
     parse_vertex_lists,
 )
+from .helpers import long_path_instance
 
 K3_COL = "c a triangle\np edge 3 3\ne 1 2\ne 1 3\ne 2 3\n"
 
@@ -154,6 +155,14 @@ def test_solve_command_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "STATUS=exhausted VALUE="
 
 
+def test_solve_command_on_a_long_path(tmp_path, capsys):
+    g, ell = long_path_instance()
+    graph = write(tmp_path, "path.col", format_graph(g))
+    lists = write(tmp_path, "path.json", lists_json({v: ell[v] for v in g.vertices()}))
+    assert main(["solve", "--graph", graph, "--lists", lists, "--size", "3"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "STATUS=ok VALUE=3"
+
+
 def test_chi_commands(tmp_path, capsys):
     graph = write(tmp_path, "k3.col", K3_COL)
     assert main(["chi", "--graph", graph]) == 0
@@ -213,6 +222,14 @@ def test_scan_command_table(tmp_path, capsys):
     assert out[2] == "1,1,1,1,1.000"
     assert out[3] == "2,2,2,2,1.000"
     assert out[4] == "3,3,3,3,1.000"
+
+
+def test_scan_command_reports_a_hit_bound(capsys):
+    # K_2 needs 2-lists, so --max-k 1 is exceeded at n = 2.
+    assert main(["scan", "--size", "3", "--max-k", "1"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "STATUS=negative VALUE="
+    assert out[1] == "K_2: chi_list or chi_star exceeds the bound 1"
 
 
 def test_verify_accepts_every_pack_complete_output(tmp_path, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from itertools import combinations
 
@@ -7,6 +8,8 @@ import pytest
 
 from listpacking import (
     Graph,
+    ListAssignment,
+    PackRequest,
     PreferenceSystem,
     bipartition,
     complete_bipartite,
@@ -14,6 +17,7 @@ from listpacking import (
     kernel_check,
     list_edge_color,
     list_edge_color_trace,
+    pack_complete,
     stable_matching,
     verify_edge_coloring,
 )
@@ -252,3 +256,62 @@ def test_list_edge_color_deterministic():
     first = list_edge_color(g, bip, lists)
     second = list_edge_color(g, bip, lists)
     assert first == second
+
+
+def test_kernel_check_rejects_one_unabsorbed_pool_edge():
+    # K_{2,2} base colors: (1,3)=1, (1,4)=2, (2,3)=2, (2,4)=1.  (2,3) is
+    # absorbed at y=3 by the lower (1,3); (1,4) meets only a LOWER matched
+    # color at x=1, which does not absorb on the X side.
+    g, bip = complete_bipartite(2, 2)
+    prefs = _prefs(g, bip)
+    assert not kernel_check({(1, 3), (1, 4), (2, 3)}, prefs, {(1, 3)})
+    # (1,3) meets only a HIGHER matched color at y=3: no absorption there.
+    assert not kernel_check({(1, 3), (2, 3)}, prefs, {(2, 3)})
+
+
+def test_kernel_check_rejects_matched_edge_outside_pool():
+    g, bip = complete_bipartite(2, 2)
+    prefs = _prefs(g, bip)
+    # A disjoint matching that absorbs (1,3) at x=1, but (2,3) is not in the pool.
+    assert not kernel_check({(1, 3), (1, 4)}, prefs, {(1, 4), (2, 3)})
+
+
+def test_kernel_check_accepts_absorption_at_one_end_only():
+    g, bip = complete_bipartite(2, 2)
+    prefs = _prefs(g, bip)
+    # X end only: (1,3) meets the higher (1,4) at x=1, nothing at y=3.
+    assert kernel_check({(1, 3), (1, 4)}, prefs, {(1, 4)})
+    # Y end only: (2,3) meets the lower (1,3) at y=3, nothing at x=2.
+    assert kernel_check({(1, 3), (2, 3)}, prefs, {(1, 3)})
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def test_engine_outputs_match_pinned_digests():
+    # Digests recorded from the double-loop kernel check, the per-edge
+    # remaining-list scan and the sorted-list deferred acceptance; the
+    # indexed engine must reproduce them exactly.
+    rng = random.Random(2022)
+    n, m = 12, 14
+    lists = ListAssignment(
+        {v: frozenset(rng.sample(range(1, 3 * m + 1), m)) for v in range(1, n + 1)}
+    )
+    packing = pack_complete(PackRequest(n, lists, m))
+    assert _digest([sorted(row.items()) for row in packing.rows]) == (
+        "8db4b7fbeaef68a3ff5cc5b6953233e34352af58374c8d8b9b3e235a52d0c412"
+    )
+
+    # Not complete, so the base coloring comes from augmenting paths.
+    rng = random.Random(31)
+    full, bip = complete_bipartite(6, 7)
+    g = Graph.from_edges(13, [e for e in full.edges if rng.random() < 0.6])
+    delta = g.max_degree()
+    edge_lists = {e: frozenset(rng.sample(range(1, 3 * delta + 1), delta)) for e in g.edges}
+    ec, trace = list_edge_color_trace(g, bip, edge_lists)
+    assert len(g.edges) < len(full.edges)
+    rounds = [(r.color, r.pool, r.matched) for r in trace.rounds]
+    assert _digest((rounds, sorted(trace.deletions.items()), sorted(ec.colors.items()))) == (
+        "31b5412e571bf41db1843b2215e1cb136f4e0d00b94e4b3a43fd940db0456c70"
+    )

@@ -27,7 +27,7 @@ from listpacking import (
     solve_packing,
     solve_packing_via_lift,
 )
-from .helpers import all_graphs_up_to_iso, cycle_graph, path_graph
+from .helpers import all_graphs_up_to_iso, cycle_graph, long_path_instance, path_graph
 
 
 def const_lists(g, colors):
@@ -285,3 +285,11 @@ def test_certificates_reverify():
             result = solve_packing(g, ell, 2)
             if result.status == FOUND:
                 assert is_proper_packing(g, ell, result.witness).ok
+
+
+def test_solve_packing_on_a_long_path():
+    g, ell = long_path_instance()
+    result = solve_packing(g, ell, 3)
+    assert result.status == FOUND
+    assert is_proper_packing(g, ell, result.witness).ok
+    assert solve_list_coloring(g, ell).status == FOUND
