@@ -3,16 +3,15 @@
 Every run prints one machine-parsable verdict line first,
 `STATUS=<ok|negative|error|exhausted> VALUE=<nat or empty>`, followed by
 human-readable detail.  Exit codes: 0 success, 1 certified negative,
-2 input error, 3 budget exhausted.  Positive results are re-verified before
-anything is written; certificates are written even for negative results so
-failures reproduce from artifacts alone.
+2 input error, 3 budget exhausted, 4 internal error.  Positive results are
+re-verified before anything is written; certificates are written even for
+negative results so failures reproduce from artifacts alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from pathlib import Path
 
@@ -46,6 +45,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_EXHAUSTED = 3
+EXIT_INTERNAL = 4
 
 
 def _verdict(status: str, value: int | None = None) -> None:
@@ -212,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized runs")
         p.add_argument("--budget-nodes", type=int, default=2_000_000)
         p.add_argument("--budget-seconds", type=float, default=60.0)
         p.add_argument("-o", "--output", default=None, help="output file path")
@@ -271,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    random.seed(args.seed)
     try:
         return args.func(args)
     except SearchExhaustedError as exc:
@@ -282,6 +280,10 @@ def main(argv: list[str] | None = None) -> int:
         _verdict("error")
         print(str(exc), file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # a fault in the program, not in its input
+        _verdict("error")
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -268,11 +268,23 @@ def solve_packing_via_lift(
 # ---------------------------------------------------------------------------
 # Canonical enumeration of k-assignments up to color renaming.
 #
-# Scanning lists in vertex order and colors in sorted order, every newly seen
-# color must be the smallest unused positive integer (restricted growth), and
-# among the restricted-growth forms of an orbit only the lexicographically
-# smallest flattened form is kept.  Fresh colors never exceed n*k, which is
-# what makes "for every k-assignment" finitely checkable.
+# Lists are scanned in vertex order and colors in sorted order; an assignment
+# is canonical when no injective color relabeling makes its flattened form
+# lexicographically smaller.  Every newly seen color is then the smallest
+# unused positive integer, so fresh colors never exceed n*k, which is what
+# makes "for every k-assignment" finitely checkable.
+#
+# The canonicity test is incremental, as in orderly generation (McKay 1998,
+# "Isomorph-free exhaustive generation").  Call two colors of a canonical
+# prefix equivalent when they appear in exactly the same lists.  The
+# relabelings that map the prefix to itself are exactly the permutations
+# inside these color classes, and no relabeling maps it to anything smaller.
+# So the smallest image of a next list t takes, in every class C, the
+# |t & C| smallest colors of C, and its fresh colors to the next unused
+# integers.  The extended prefix is canonical exactly when t & C is already
+# that initial segment of C for every class.  Accepting t splits each class
+# into its part inside t and its part outside, and t's fresh colors form one
+# new class.
 # ---------------------------------------------------------------------------
 
 
@@ -288,68 +300,39 @@ def _candidate_lists(mx: int, k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _smaller_relabeling_exists(lists: list[tuple[int, ...]]) -> bool:
-    """True when some injective color relabeling makes the flattened form of
-    `lists` strictly smaller, i.e. the prefix is not orbit-canonical.
-
-    The search walks the lists in order keeping the relabeled form equal so
-    far; at each list the best achievable image gives free colors the
-    smallest unused targets, and equality pins the target set exactly,
-    branching only over which free color takes which target.
-    """
-
-    def smallest_free(used: set[int], count: int) -> list[int]:
-        vals: list[int] = []
-        c = 1
-        while len(vals) < count:
-            if c not in used:
-                vals.append(c)
-            c += 1
-        return vals
-
-    def walk(idx: int, mapping: dict[int, int], used: set[int]) -> bool:
-        if idx == len(lists):
-            return False
-        t = lists[idx]
-        fixed = sorted(mapping[c] for c in t if c in mapping)
-        free = [c for c in t if c not in mapping]
-        best = tuple(sorted(fixed + smallest_free(used, len(free))))
-        if best < t:
-            return True
-        if any(x not in t for x in fixed):
-            return False  # image can no longer equal t; prefix comparison lost
-        targets = sorted(set(t) - set(fixed))
-        if len(targets) != len(free) or any(x in used for x in targets):
-            return False
-        for images in permutations(targets):
-            ext = dict(zip(free, images))
-            mapping.update(ext)
-            hit = walk(idx + 1, mapping, used | set(images))
-            for c in ext:
-                del mapping[c]
-            if hit:
-                return True
-        return False
-
-    return walk(0, {}, set())
-
-
 def _iter_canonical(n: int, k: int):
     """All canonical k-assignments over vertices 1..n, lazily, in
     lexicographic order of their flattened forms."""
     prefix: list[tuple[int, ...]] = []
 
-    def walk(mx: int):
+    def walk(mx: int, classes: list[list[int]]):
         if len(prefix) == n:
             yield tuple(prefix)
             return
+        # A list meets every class in an initial segment exactly when it
+        # holds the predecessor, within its class, of each color it holds.
+        before = {c: cls[i - 1] for cls in classes for i, c in enumerate(cls) if i}
         for cand in _candidate_lists(mx, k):
+            members = set(cand)
+            if any(before[c] not in members for c in cand if c in before):
+                continue
+            refined = [
+                part
+                for cls in classes
+                for part in (
+                    [c for c in cls if c in members],
+                    [c for c in cls if c not in members],
+                )
+                if part
+            ]
+            fresh = [c for c in cand if c > mx]
+            if fresh:
+                refined.append(fresh)
             prefix.append(cand)
-            if not _smaller_relabeling_exists(prefix):
-                yield from walk(max(mx, cand[-1]))
+            yield from walk(max(mx, cand[-1]), refined)
             prefix.pop()
 
-    yield from walk(0)
+    yield from walk(0, [])
 
 
 def enumerate_canonical_assignments(g: Graph, k: int):
@@ -360,6 +343,37 @@ def enumerate_canonical_assignments(g: Graph, k: int):
         yield ListAssignment({v: frozenset(lists[v - 1]) for v in g.vertices()})
 
 
+@dataclass(frozen=True)
+class _Scan:
+    """One pass over the canonical k-assignments: `bad` is the first one the
+    solver found no solution for (None when every one has one), `scanned`
+    counts the assignments handed to the solver, and `stalled` is the
+    exhaustion message when the budget ran out first."""
+
+    bad: ListAssignment | None
+    nodes: int
+    scanned: int
+    stalled: str | None = None
+
+
+def _scan(g: Graph, k: int, decide, deadline: float) -> _Scan:
+    """Run `decide` on each canonical k-assignment of g, in enumeration
+    order, until one comes back absent; the deadline is checked before each
+    assignment."""
+    nodes = scanned = 0
+    for ell in enumerate_canonical_assignments(g, k):
+        if time.monotonic() > deadline:
+            return _Scan(None, nodes, scanned, f"budget exhausted scanning {k}-assignments")
+        scanned += 1
+        result = decide(ell)
+        nodes += result.nodes
+        if result.status == EXHAUSTED:
+            return _Scan(None, nodes, scanned, f"budget exhausted on a {k}-assignment")
+        if result.status == ABSENT:
+            return _Scan(ell, nodes, scanned)
+    return _Scan(None, nodes, scanned)
+
+
 def find_bad_assignment(
     g: Graph, k: int, budget: SearchBudget | None = None
 ) -> SearchResult:
@@ -367,17 +381,12 @@ def find_bad_assignment(
     proper packing of size k, or absent when every one packs."""
     budget = budget or SearchBudget()
     deadline = time.monotonic() + budget.time_limit
-    total = 0
-    for ell in enumerate_canonical_assignments(g, k):
-        if time.monotonic() > deadline:
-            return SearchResult(EXHAUSTED, nodes=total)
-        result = solve_packing(g, ell, k, budget)
-        total += result.nodes
-        if result.status == EXHAUSTED:
-            return SearchResult(EXHAUSTED, nodes=total)
-        if result.status == ABSENT:
-            return SearchResult(FOUND, witness=ell, nodes=total)
-    return SearchResult(ABSENT, nodes=total)
+    scan = _scan(g, k, lambda ell: solve_packing(g, ell, k, budget), deadline)
+    if scan.stalled:
+        return SearchResult(EXHAUSTED, nodes=scan.nodes)
+    if scan.bad is not None:
+        return SearchResult(FOUND, witness=scan.bad, nodes=scan.nodes)
+    return SearchResult(ABSENT, nodes=scan.nodes)
 
 
 MAX_CHI_VERTICES = 20
@@ -414,18 +423,6 @@ def coloring_number(g: Graph) -> int:
     return worst + 1
 
 
-def _first_uncolorable(g: Graph, k: int, budget: SearchBudget, deadline: float):
-    for ell in enumerate_canonical_assignments(g, k):
-        if time.monotonic() > deadline:
-            raise SearchExhaustedError(f"budget exhausted scanning {k}-assignments")
-        result = solve_list_coloring(g, ell, budget)
-        if result.status == EXHAUSTED:
-            raise SearchExhaustedError(f"budget exhausted on a {k}-assignment")
-        if result.status == ABSENT:
-            return ell
-    return None
-
-
 def list_chromatic_number(
     g: Graph, k_max: int, budget: SearchBudget | None = None
 ) -> ChiListResult:
@@ -442,10 +439,12 @@ def list_chromatic_number(
     for k in range(1, k_max + 1):
         if k >= greedy:
             return ChiListResult(k, witness)
-        bad = _first_uncolorable(g, k, budget, deadline)
-        if bad is None:
+        scan = _scan(g, k, lambda ell: solve_list_coloring(g, ell, budget), deadline)
+        if scan.stalled:
+            raise SearchExhaustedError(scan.stalled)
+        if scan.bad is None:
             return ChiListResult(k, witness)
-        witness = bad
+        witness = scan.bad
     raise BoundExceededError(k_max, witness)
 
 
@@ -463,19 +462,10 @@ def list_packing_number(
     deadline = time.monotonic() + budget.time_limit
     witness: ListAssignment | None = None
     for k in range(1, k_max + 1):
-        bad: ListAssignment | None = None
-        count = 0
-        for ell in enumerate_canonical_assignments(g, k):
-            if time.monotonic() > deadline:
-                raise SearchExhaustedError(f"budget exhausted scanning {k}-assignments")
-            count += 1
-            result = solve_packing(g, ell, k, budget)
-            if result.status == EXHAUSTED:
-                raise SearchExhaustedError(f"budget exhausted on a {k}-assignment")
-            if result.status == ABSENT:
-                bad = ell
-                break
-        if bad is None:
-            return ChiStarResult(k, witness, count)
-        witness = bad
+        scan = _scan(g, k, lambda ell: solve_packing(g, ell, k, budget), deadline)
+        if scan.stalled:
+            raise SearchExhaustedError(scan.stalled)
+        if scan.bad is None:
+            return ChiStarResult(k, witness, scan.scanned)
+        witness = scan.bad
     raise BoundExceededError(k_max, witness)

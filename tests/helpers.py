@@ -3,6 +3,7 @@ independent of the library's own search paths."""
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, permutations
 
 from listpacking import Graph, ListAssignment
@@ -45,3 +46,23 @@ def long_path_instance(n=3000):
     ell = ListAssignment({v: frozenset(triples[v % len(triples)]) for v in range(1, n + 1)})
     return path_graph(n), ell
 
+
+def orbit_count(n: int, k: int) -> int:
+    """Number of k-assignments of n vertices up to color renaming, counted
+    without enumerating any: an orbit is fixed by how many colors lie in
+    exactly the lists of S, for each nonempty vertex set S, and every vertex
+    must see k colors in all.  Dynamic programming over the sets S, keyed by
+    the per-vertex totals so far."""
+    totals = Counter({(0,) * n: 1})
+    for mask in range(1, 2**n):
+        step: Counter[tuple[int, ...]] = Counter()
+        for sums, ways in totals.items():
+            a = 0
+            while True:
+                grown = tuple(s + a * (mask >> i & 1) for i, s in enumerate(sums))
+                if max(grown) > k:
+                    break
+                step[grown] += ways
+                a += 1
+        totals = step
+    return totals[(k,) * n]

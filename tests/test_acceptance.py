@@ -192,27 +192,27 @@ def test_criterion_7_latin_square():
 
 
 def test_criterion_8_chain_property():
-    # chi <= chi_l <= chi*_l on every graph with <= 4 vertices where all
-    # three values were computed (scans capped at k = 3; K_4 needs k = 4 and
-    # is the one expected dropout).
+    # chi <= chi_l <= chi*_l on every graph with <= 4 vertices, all three
+    # values computed (scans capped at k = 4, which K_4 needs).
     start = time.monotonic()
     computed = 0
     skipped = 0
     for g in all_graphs_up_to_iso(4):
         chi = chromatic_number(g)
         try:
-            chi_list = list_chromatic_number(g, 3).value
-            chi_star = list_packing_number(g, 3).value
+            chi_list = list_chromatic_number(g, 4).value
+            chi_star = list_packing_number(g, 4).value
         except BoundExceededError:
             skipped += 1
             continue
         assert chi <= chi_list <= chi_star, (g.n, g.edges, chi, chi_list, chi_star)
         computed += 1
     elapsed = time.monotonic() - start
-    assert computed >= 17
+    assert skipped == 0
+    assert computed == 18
     report(
         8,
         "chain-property",
         elapsed,
-        f"{computed} graphs checked, {skipped} beyond the k<=3 scan",
+        f"{computed} graphs checked, {skipped} beyond the k<=4 scan",
     )

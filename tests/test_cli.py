@@ -214,6 +214,21 @@ def test_input_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_internal_errors_exit_four(tmp_path, capsys, monkeypatch):
+    import listpacking.cli as cli
+
+    def broken(request):
+        raise RuntimeError("internal error: engine disagreed with its checker")
+
+    monkeypatch.setattr(cli, "pack_complete", broken)
+    lists = write(tmp_path, "l.json", lists_json({1: [1, 2], 2: [1, 2]}))
+    assert main(["pack-complete", "-n", "2", "--lists", lists]) == cli.EXIT_INTERNAL == 4
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "STATUS=error VALUE="
+    assert "engine disagreed with its checker" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_scan_command_table(tmp_path, capsys):
     assert main(["scan", "--size", "3"]) == 0
     out = capsys.readouterr().out.splitlines()

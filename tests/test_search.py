@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from itertools import combinations, permutations, product
 
@@ -27,7 +28,13 @@ from listpacking import (
     solve_packing,
     solve_packing_via_lift,
 )
-from .helpers import all_graphs_up_to_iso, cycle_graph, long_path_instance, path_graph
+from .helpers import (
+    all_graphs_up_to_iso,
+    cycle_graph,
+    long_path_instance,
+    orbit_count,
+    path_graph,
+)
 
 
 def const_lists(g, colors):
@@ -130,8 +137,36 @@ def test_canonical_enumeration_matches_naive_orbit_count():
         min(tuple(m[s] for s in triple) for m in maps)
         for triple in product(subsets, repeat=3)
     }
-    ours = sum(1 for _ in enumerate_canonical_assignments(complete_graph(3), 2))
-    assert ours == len(orbits) == 16
+    g = complete_graph(3)
+    ours = [
+        tuple(tuple(sorted(ell[v])) for v in g.vertices())
+        for ell in enumerate_canonical_assignments(g, 2)
+    ]
+    assert len(ours) == len(set(ours)) == 16
+    assert set(ours) == orbits
+
+
+# SHA-256 of the (4,4) sequence, one flattened assignment per line, recorded
+# from the enumerator that searched relabelings explicitly.
+K4_SEQUENCE_SHA256 = "750a63e84445340c64b81aaee3266eb2c3e73e31f56de8b76e29bf0a3845343e"
+
+
+def test_canonical_enumeration_counts_and_order_are_pinned():
+    for (n, k), count in {
+        (3, 3): 39,
+        (4, 2): 139,
+        (4, 3): 862,
+        (4, 4): 4079,
+        (5, 3): 35775,
+    }.items():
+        ours = sum(1 for _ in enumerate_canonical_assignments(complete_graph(n), k))
+        assert ours == count == orbit_count(n, k), (n, k)
+    g = complete_graph(4)
+    text = "\n".join(
+        ",".join(str(c) for v in g.vertices() for c in sorted(ell[v]))
+        for ell in enumerate_canonical_assignments(g, 4)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == K4_SEQUENCE_SHA256
 
 
 def test_canonical_assignments_stay_within_color_cap():
