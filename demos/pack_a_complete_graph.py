@@ -2,13 +2,14 @@
 """Walk through the packing pipeline on one concrete instance.
 
 We take K_4 and give every vertex a list of 5 colors (5 >= 4, so the
-construction applies), then watch the five stages:
+construction applies), then watch the four stages:
 
   1. lift the lists onto the product K_4 box K_5
   2. read that product as the line graph of the bipartite K_{4,5}
   3. list-edge-color K_{4,5} with the kernel engine
-  4. pull the edge coloring back onto the product
-  5. slice the product coloring into 5 pairwise-disjoint colorings of K_4
+  4. read coloring f_j off the edges at y_j: 5 pairwise-disjoint colorings
+
+Stages 1 and 2 are the proof's justification; pack_complete runs only 3 and 4.
 """
 
 import random
@@ -25,7 +26,6 @@ from listpacking import (
     pack_complete,
     product_id,
 )
-from listpacking.packing import _product_coloring
 
 n, m = 4, 5
 rng = random.Random(0)
@@ -54,12 +54,11 @@ edge_lists = {(i, n + j): lists[i] for i in range(1, n + 1) for j in range(1, m 
 ec = list_edge_color(knm, bip, edge_lists)
 print(f"edge coloring done; colors used: {sorted(set(ec.colors.values()))}")
 
-# Stages 4+5 are bookkeeping; pack_complete runs the whole pipeline and
-# verifies the result internally before returning it.
+# Stage 4 is bookkeeping; pack_complete runs stages 3 and 4 and verifies
+# the result internally before returning it.
 packing = pack_complete(PackRequest(n, lists, m))
-f_h = _product_coloring(n, m, ec)
-print(f"pullback at (2,3) equals the color of edge x_2 y_3: "
-      f"{f_h[product_id(2, 3, m)] == ec.colors[(2, n + 3)]}")
+print(f"f_3 at vertex 2 equals the color of edge x_2 y_3: "
+      f"{packing.rows[2][2] == ec.colors[(2, n + 3)]}")
 
 print(f"\nthe packing, one proper coloring per row ({m} rows):")
 for j, row in enumerate(packing.rows, start=1):

@@ -1,11 +1,13 @@
 """Constructive proper list packings of complete graphs.
 
 Any m-assignment of K_n with m >= n admits a proper packing of size m, and
-the construction here produces one: lift the lists to H = K_n box K_m, read H
-as the line graph of K_{n,m} (the product vertex (i, j) is the edge x_i y_j),
-list-edge-color K_{n,m} with the kernel engine -- its max degree is exactly m,
-so lists of size m suffice -- and slice the resulting coloring of H back into
-m pairwise-disjoint proper colorings of K_n.
+the construction here produces one: list-edge-color K_{n,m} with the kernel
+engine, edge x_i y_j taking the list of v_i -- its max degree is exactly m,
+so lists of size m suffice -- and read row j off the edges at y_j.  The
+proof's identity, not a runtime step, says why: K_n box K_m is the line
+graph of K_{n,m}, so that edge coloring is a proper coloring of the lifted
+product, sliced into m pairwise-disjoint colorings.  `pack_via_product` is
+the lift -> solve -> extract route for any graph and solver.
 """
 
 from __future__ import annotations
@@ -13,16 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coloring import (
-    Coloring,
     ListAssignment,
     Packing,
     extract_packing,
-    is_proper_coloring,
+    is_proper_coloring,  # noqa: F401 -- bench/tracing.py looks it up on this module
     is_proper_packing,
     lift_lists,
 )
-from .galvin import EdgeColoring, list_edge_color
-from .graphs import Graph, complete_bipartite, complete_graph, product_id
+from .galvin import list_edge_color
+from .graphs import Graph, complete_bipartite, complete_graph
 
 
 class UnsupportedRegimeError(ValueError):
@@ -38,16 +39,6 @@ class PackRequest:
     n: int
     lists: ListAssignment
     m: int
-
-
-def _product_coloring(n: int, m: int, ec: EdgeColoring) -> Coloring:
-    """Pull an edge coloring of K_{n,m} back to a coloring of K_n box K_m:
-    pure bookkeeping through the identification (i, j) <-> x_i y_j."""
-    return {
-        product_id(i, j, m): ec.colors[(i, n + j)]
-        for i in range(1, n + 1)
-        for j in range(1, m + 1)
-    }
 
 
 def pack_complete(req: PackRequest) -> Packing:
@@ -69,14 +60,12 @@ def pack_complete(req: PackRequest) -> Packing:
         raise UnsupportedRegimeError(
             f"packing size m={m} below n={n}: the construction needs m >= n"
         )
-    h, lifted = lift_lists(g, lists, m)
     knm, bip = complete_bipartite(n, m)
     edge_lists = {(i, n + j): lists[i] for i in range(1, n + 1) for j in range(1, m + 1)}
     ec = list_edge_color(knm, bip, edge_lists)
-    f_h = _product_coloring(n, m, ec)
-    if not is_proper_coloring(h, lifted, f_h).ok:
-        raise RuntimeError("internal error: product coloring failed verification")
-    packing = extract_packing(g, m, f_h)
+    packing = Packing(
+        tuple({i: ec.colors[(i, n + j)] for i in g.vertices()} for j in range(1, m + 1))
+    )
     report = is_proper_packing(g, lists, packing)
     if not report.ok:
         raise RuntimeError(f"internal error: packing failed verification: {report.violations}")

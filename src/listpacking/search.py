@@ -10,19 +10,18 @@ running out of budget is a distinct outcome, never a wrong answer.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, permutations
 
 from .coloring import (
     Coloring,
     ListAssignment,
     Packing,
-    extract_packing,
     is_proper_coloring,
     is_proper_packing,
-    lift_lists,
 )
 from .graphs import Graph
+from .packing import pack_via_product
 
 FOUND = "found"
 ABSENT = "absent"
@@ -81,7 +80,8 @@ class _BudgetHit(Exception):
 
 
 class _Ticker:
-    """Shared node/time accounting for one search task."""
+    """Node/time accounting for one search task: a single solve, or a whole
+    scan whose inner solves all draw on the same allowance."""
 
     __slots__ = ("nodes", "node_limit", "deadline")
 
@@ -103,7 +103,11 @@ def solve_list_coloring(
 ) -> SearchResult:
     """Backtracking search for a proper list coloring, vertices in input
     order, colors in sorted order, forward checking on neighbor domains."""
-    ticker = _Ticker(budget or SearchBudget())
+    return _solve_list_coloring(g, ell, _Ticker(budget or SearchBudget()))
+
+
+def _solve_list_coloring(g: Graph, ell: ListAssignment, ticker: _Ticker) -> SearchResult:
+    """solve_list_coloring on a given ticker; `nodes` is the ticker's total."""
     try:
         f = _color_search(g, ell, ticker)
     except _BudgetHit:
@@ -177,7 +181,12 @@ def solve_packing(
         raise ValueError(f"packing size must be positive, got {k}")
     if any(len(ell[v]) < k for v in g.vertices()):
         raise ValueError(f"every list needs at least k={k} colors")
-    ticker = _Ticker(budget or SearchBudget())
+    return _solve_packing(g, ell, k, _Ticker(budget or SearchBudget()))
+
+
+def _solve_packing(g: Graph, ell: ListAssignment, k: int, ticker: _Ticker) -> SearchResult:
+    """solve_packing on a given ticker, lists already checked; `nodes` is
+    the ticker's total."""
     try:
         single = _color_search(g, ell, ticker)
         if single is None:
@@ -250,19 +259,17 @@ def _packing_search(
 def solve_packing_via_lift(
     g: Graph, ell: ListAssignment, k: int, budget: SearchBudget | None = None
 ) -> SearchResult:
-    """The other route to the same answer: list-color the lifted product and
-    slice.  Must agree with solve_packing on every instance."""
-    if k < 1:
-        raise ValueError(f"packing size must be positive, got {k}")
-    if any(len(ell[v]) < k for v in g.vertices()):
-        raise ValueError(f"every list needs at least k={k} colors")
-    h, lifted = lift_lists(g, ell, k)
-    result = solve_list_coloring(h, lifted, budget)
-    if result.status != FOUND:
-        return result
-    packing = extract_packing(g, k, result.witness)
-    assert is_proper_packing(g, ell, packing).ok
-    return SearchResult(FOUND, witness=packing, nodes=result.nodes)
+    """The other route to the same answer: list-color the lifted product
+    with `solve_list_coloring` and slice, through `pack_via_product`.  Must
+    agree with solve_packing on every instance."""
+    solved: list[SearchResult] = []
+
+    def solver(h: Graph, lifted: ListAssignment) -> Coloring | None:
+        solved.append(solve_list_coloring(h, lifted, budget))
+        return solved[0].witness  # None unless found
+
+    packing = pack_via_product(g, ell, k, solver)
+    return solved[0] if packing is None else replace(solved[0], witness=packing)
 
 
 # ---------------------------------------------------------------------------
@@ -351,54 +358,53 @@ class _Scan:
     exhaustion message when the budget ran out first."""
 
     bad: ListAssignment | None
-    nodes: int
     scanned: int
     stalled: str | None = None
 
 
-def _scan(g: Graph, k: int, decide, deadline: float) -> _Scan:
+def _scan(g: Graph, k: int, decide, ticker: _Ticker) -> _Scan:
     """Run `decide` on each canonical k-assignment of g, in enumeration
-    order, until one comes back absent; the deadline is checked before each
-    assignment."""
-    nodes = scanned = 0
+    order, until one comes back absent.  `decide` spends from `ticker`,
+    whose deadline is also checked before each assignment."""
+    scanned = 0
     for ell in enumerate_canonical_assignments(g, k):
-        if time.monotonic() > deadline:
-            return _Scan(None, nodes, scanned, f"budget exhausted scanning {k}-assignments")
+        if time.monotonic() > ticker.deadline:
+            return _Scan(None, scanned, f"budget exhausted scanning {k}-assignments")
         scanned += 1
         result = decide(ell)
-        nodes += result.nodes
         if result.status == EXHAUSTED:
-            return _Scan(None, nodes, scanned, f"budget exhausted on a {k}-assignment")
+            return _Scan(None, scanned, f"budget exhausted on a {k}-assignment")
         if result.status == ABSENT:
-            return _Scan(ell, nodes, scanned)
-    return _Scan(None, nodes, scanned)
+            return _Scan(ell, scanned)
+    return _Scan(None, scanned)
 
 
 def find_bad_assignment(
     g: Graph, k: int, budget: SearchBudget | None = None
 ) -> SearchResult:
     """First canonical k-assignment (in enumeration order) admitting no
-    proper packing of size k, or absent when every one packs."""
-    budget = budget or SearchBudget()
-    deadline = time.monotonic() + budget.time_limit
-    scan = _scan(g, k, lambda ell: solve_packing(g, ell, k, budget), deadline)
+    proper packing of size k, or absent when every one packs.  The budget
+    bounds the whole scan."""
+    ticker = _Ticker(budget or SearchBudget())
+    scan = _scan(g, k, lambda ell: _solve_packing(g, ell, k, ticker), ticker)
     if scan.stalled:
-        return SearchResult(EXHAUSTED, nodes=scan.nodes)
-    if scan.bad is not None:
-        return SearchResult(FOUND, witness=scan.bad, nodes=scan.nodes)
-    return SearchResult(ABSENT, nodes=scan.nodes)
+        return SearchResult(EXHAUSTED, nodes=ticker.nodes)
+    status = ABSENT if scan.bad is None else FOUND
+    return SearchResult(status, witness=scan.bad, nodes=ticker.nodes)
 
 
 MAX_CHI_VERTICES = 20
 
 
 def chromatic_number(g: Graph, budget: SearchBudget | None = None) -> int:
-    """Least t admitting a proper coloring from constant lists 1..t."""
+    """Least t admitting a proper coloring from constant lists 1..t.  The
+    budget bounds all the searches together."""
     if g.n > MAX_CHI_VERTICES:
         raise ValueError(f"graph too large for exact search: {g.n} vertices")
+    ticker = _Ticker(budget or SearchBudget())
     for t in range(1, g.n + 1):
         ell = ListAssignment({v: frozenset(range(1, t + 1)) for v in g.vertices()})
-        result = solve_list_coloring(g, ell, budget)
+        result = _solve_list_coloring(g, ell, ticker)
         if result.status == EXHAUSTED:
             raise SearchExhaustedError(f"budget exhausted deciding {t}-colorability")
         if result.status == FOUND:
@@ -431,15 +437,15 @@ def list_chromatic_number(
 
     The scan over canonical assignments runs only for k below the greedy
     bound; at k >= coloring_number(g) colorability is certain without it.
+    The budget bounds all the scans together.
     """
-    budget = budget or SearchBudget()
-    deadline = time.monotonic() + budget.time_limit
+    ticker = _Ticker(budget or SearchBudget())
     greedy = coloring_number(g)
     witness: ListAssignment | None = None
     for k in range(1, k_max + 1):
         if k >= greedy:
             return ChiListResult(k, witness)
-        scan = _scan(g, k, lambda ell: solve_list_coloring(g, ell, budget), deadline)
+        scan = _scan(g, k, lambda ell: _solve_list_coloring(g, ell, ticker), ticker)
         if scan.stalled:
             raise SearchExhaustedError(scan.stalled)
         if scan.bad is None:
@@ -455,14 +461,14 @@ def list_packing_number(
     g: Graph, k_max: int, budget: SearchBudget | None = None
 ) -> ChiStarResult:
     """Least k <= k_max such that every canonical k-assignment admits a
-    proper packing of size k, by full enumeration at every level."""
+    proper packing of size k, by full enumeration at every level.  The
+    budget bounds all the scans together."""
     if g.n > MAX_CHI_STAR_VERTICES:
         raise ValueError(f"graph too large for exact packing scans: {g.n} vertices")
-    budget = budget or SearchBudget()
-    deadline = time.monotonic() + budget.time_limit
+    ticker = _Ticker(budget or SearchBudget())
     witness: ListAssignment | None = None
     for k in range(1, k_max + 1):
-        scan = _scan(g, k, lambda ell: solve_packing(g, ell, k, budget), deadline)
+        scan = _scan(g, k, lambda ell: _solve_packing(g, ell, k, ticker), ticker)
         if scan.stalled:
             raise SearchExhaustedError(scan.stalled)
         if scan.bad is None:

@@ -188,6 +188,12 @@ def test_chi_commands(tmp_path, capsys):
     assert data["bound"] == 2 and data["bad_assignment"] is not None
 
 
+def test_chi_star_node_budget_bounds_the_whole_scan(tmp_path, capsys):
+    k4 = write(tmp_path, "k4.col", format_graph(complete_graph(4)))
+    assert main(["chi-star", "--graph", k4, "--max-k", "4", "--budget-nodes", "100"]) == 3
+    assert capsys.readouterr().out.splitlines()[0] == "STATUS=exhausted VALUE="
+
+
 def test_edge_color_command(tmp_path, capsys):
     g, _ = complete_bipartite(2, 3)
     graph = write(tmp_path, "k23.col", format_graph(g))

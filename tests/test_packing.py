@@ -19,9 +19,7 @@ from listpacking import (
     solve_list_coloring,
     solve_packing,
 )
-from listpacking.packing import _product_coloring
 from listpacking.galvin import list_edge_color
-from listpacking import product_id
 from .helpers import path_graph
 
 
@@ -91,17 +89,17 @@ def test_pack_random_assignments_verify():
 
 
 def test_pullback_is_bit_exact():
-    # The relabeling (i, j) <-> x_i y_j composed with the pullback moves color
-    # values around untouched.
+    # Row j of the packing is read off the edges at y_j: the color values of
+    # the K_{n,m} edge coloring come through untouched.
     n = m = 3
     ell = ListAssignment({v: frozenset({2, 4, 6}) for v in range(1, n + 1)})
     knm, bip = complete_bipartite(n, m)
     edge_lists = {(i, n + j): ell[i] for i in range(1, n + 1) for j in range(1, m + 1)}
     ec = list_edge_color(knm, bip, edge_lists)
-    f_h = _product_coloring(n, m, ec)
+    packing = pack_complete(PackRequest(n, ell, m))
     for i in range(1, n + 1):
         for j in range(1, m + 1):
-            assert f_h[product_id(i, j, m)] == ec.colors[(i, n + j)]
+            assert packing.rows[j - 1][i] == ec.colors[(i, n + j)]
 
 
 def test_pack_monotone_regime_with_truncated_lists():

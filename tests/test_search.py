@@ -13,6 +13,7 @@ from listpacking import (
     BoundExceededError,
     ListAssignment,
     SearchBudget,
+    SearchExhaustedError,
     cartesian_product,
     chromatic_number,
     coloring_number,
@@ -79,6 +80,21 @@ def test_budget_exhaustion_is_distinct():
     k3 = complete_graph(3)
     result = solve_list_coloring(k3, const_lists(k3, {1, 2}), SearchBudget(node_limit=1))
     assert result.status == EXHAUSTED
+
+
+def test_budget_bounds_a_whole_scan():
+    # One node allowance for the whole call, not a fresh one per inner
+    # solve: each of these needs far more than 100 nodes in total.
+    k4 = complete_graph(4)
+    budget = SearchBudget(node_limit=100)
+    result = find_bad_assignment(k4, 4, budget)
+    assert result.status == EXHAUSTED and result.nodes == 101
+    with pytest.raises(SearchExhaustedError):
+        list_packing_number(k4, 4, budget)
+    with pytest.raises(SearchExhaustedError):
+        list_chromatic_number(cycle_graph(4), 4, budget)
+    with pytest.raises(SearchExhaustedError):
+        chromatic_number(k4, SearchBudget(node_limit=20))
 
 
 def test_solve_packing_small_cases():
