@@ -92,17 +92,21 @@ def _require_domains(g: Graph, ell: ListAssignment, f: Coloring | None = None) -
         raise ValueError("coloring domain does not match the vertex set")
 
 
+def _row_violations(g: Graph, ell: ListAssignment, f: Coloring, indices: tuple[int, ...] = ()):
+    """List membership at every vertex, then properness at every edge, of a
+    coloring whose domains are already checked."""
+    for v in g.vertices():
+        if f[v] not in ell[v]:
+            yield Violation(NOT_IN_LIST, (v,), indices)
+    for u, v in g.edges:
+        if f[u] == f[v]:
+            yield Violation(NOT_PROPER, (u, v), indices)
+
+
 def is_proper_coloring(g: Graph, ell: ListAssignment, f: Coloring) -> VerifyReport:
     """Check list membership at every vertex and properness at every edge."""
     _require_domains(g, ell, f)
-    violations: list[Violation] = []
-    for v in g.vertices():
-        if f[v] not in ell[v]:
-            violations.append(Violation(NOT_IN_LIST, (v,)))
-    for u, v in g.edges:
-        if f[u] == f[v]:
-            violations.append(Violation(NOT_PROPER, (u, v)))
-    return VerifyReport.from_violations(violations)
+    return VerifyReport.from_violations(_row_violations(g, ell, f))
 
 
 def is_proper_packing(g: Graph, ell: ListAssignment, packing: Packing) -> VerifyReport:
@@ -115,13 +119,12 @@ def is_proper_packing(g: Graph, ell: ListAssignment, packing: Packing) -> Verify
             raise ValueError(f"coloring {idx} domain does not match the vertex set")
     violations: list[Violation] = []
     for idx, row in enumerate(packing.rows, start=1):
-        for violation in is_proper_coloring(g, ell, row).violations:
-            violations.append(
-                Violation(violation.kind, violation.where, (idx,))
-            )
+        violations.extend(_row_violations(g, ell, row, (idx,)))
     k = packing.size
     for v in g.vertices():
         col = packing.column(v)
+        if len(set(col)) == k:
+            continue
         for i in range(k):
             for j in range(i + 1, k):
                 if col[i] == col[j]:

@@ -5,18 +5,26 @@ exact chromatic / list-chromatic / list-packing numbers with certificates.
 Everything here is deliberately dumb and deterministic: fixed vertex order,
 sorted color order, no heuristics.  "absent" always means a completed search;
 running out of budget is a distinct outcome, never a wrong answer.
+
+The packing search encodes each ordered k-tuple of colors as an int bitmask
+of its (coordinate, color) pairs, so that two tuples clash in some coordinate
+exactly when their masks intersect; the masks of a list are built once and
+memoized.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import combinations, permutations
 
 from .coloring import (
     Coloring,
     ListAssignment,
     Packing,
+    _require_domains,
     is_proper_coloring,
     is_proper_packing,
 )
@@ -119,9 +127,7 @@ def _solve_list_coloring(g: Graph, ell: ListAssignment, ticker: _Ticker) -> Sear
 
 
 def _color_search(g: Graph, ell: ListAssignment, ticker: _Ticker) -> Coloring | None:
-    verts = set(g.vertices())
-    if ell.domain() != verts:
-        raise ValueError("list assignment domain does not match the vertex set")
+    _require_domains(g, ell)
     domains: dict[int, set[int]] = {v: set(ell[v]) for v in g.vertices()}
     assignment: Coloring = {}
     if g.n == 0:
@@ -179,6 +185,7 @@ def solve_packing(
     """
     if k < 1:
         raise ValueError(f"packing size must be positive, got {k}")
+    _require_domains(g, ell)
     if any(len(ell[v]) < k for v in g.vertices()):
         raise ValueError(f"every list needs at least k={k} colors")
     return _solve_packing(g, ell, k, _Ticker(budget or SearchBudget()))
@@ -201,25 +208,40 @@ def _solve_packing(g: Graph, ell: ListAssignment, k: int, ticker: _Ticker) -> Se
     return SearchResult(FOUND, witness=packing, nodes=ticker.nodes)
 
 
+@lru_cache(maxsize=1024)
+def _tuple_masks(ranks: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """The ordered k-tuples of distinct colors from a list, given as its
+    sorted color ranks, in permutations order, each encoded as the bitmask
+    with bit r*k + j set for rank r in coordinate j."""
+    return tuple(
+        sum(1 << (r * k + j) for j, r in enumerate(p)) for p in permutations(ranks, k)
+    )
+
+
 def _packing_search(
     g: Graph, ell: ListAssignment, k: int, ticker: _Ticker
 ) -> tuple[Coloring, ...] | None:
-    domains: dict[int, list[tuple[int, ...]]] = {
-        v: list(permutations(sorted(ell[v]), k)) for v in g.vertices()
-    }
-    chosen: dict[int, tuple[int, ...]] = {}
-
-    def compatible(p: tuple[int, ...], q: tuple[int, ...]) -> bool:
-        return all(a != b for a, b in zip(p, q))
-
+    """Forward-checking search over ordered k-tuples.  A tuple is a bitmask
+    of its (coordinate, color) pairs, colors numbered by rank among the
+    instance's colors so masks stay k*|colors| bits wide whatever the color
+    values; two tuples may sit on adjacent vertices exactly when their masks
+    are disjoint."""
     if g.n == 0:
         return tuple({} for _ in range(k))
+    lists = [ell[v] for v in g.vertices()]
+    colors = sorted(set().union(*lists))
+    rank = {c: r for r, c in enumerate(colors)}
+    domains: dict[int, Sequence[int]] = {
+        v: _tuple_masks(tuple(sorted(map(rank.__getitem__, cs))), k)
+        for v, cs in enumerate(lists, start=1)
+    }
+    chosen: dict[int, int] = {}
     # Depth-first with an explicit stack, as in _color_search: per vertex,
     # its domain on arrival, the next tuple to try, and the neighbor domains
     # its current tuple replaced.
-    options: list[list[tuple[int, ...]]] = [[] for _ in range(g.n + 1)]
+    options: list[Sequence[int]] = [() for _ in range(g.n + 1)]
     pos = [0] * (g.n + 1)
-    saved: list[list[tuple[int, list[tuple[int, ...]]]]] = [[] for _ in range(g.n + 1)]
+    saved: list[list[tuple[int, Sequence[int]]]] = [[] for _ in range(g.n + 1)]
     v = 1
     options[v] = domains[v]
     while True:
@@ -240,7 +262,7 @@ def _packing_search(
         wiped = False
         for w in g.neighbors(v):
             if w not in chosen:
-                kept = [q for q in domains[w] if compatible(p, q)]
+                kept = [q for q in domains[w] if not p & q]
                 saved[v].append((w, domains[w]))
                 domains[w] = kept
                 if not kept:
@@ -253,7 +275,14 @@ def _packing_search(
         v += 1
         options[v] = domains[v]
         pos[v] = 0
-    return tuple({v: chosen[v][j] for v in g.vertices()} for j in range(k))
+    rows: tuple[Coloring, ...] = tuple({} for _ in range(k))
+    for v in g.vertices():
+        mask = chosen[v]
+        while mask:
+            bit = (mask & -mask).bit_length() - 1
+            rows[bit % k][v] = colors[bit // k]
+            mask &= mask - 1
+    return rows
 
 
 def solve_packing_via_lift(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 from itertools import combinations, permutations, product
 
 import pytest
@@ -11,6 +12,7 @@ from listpacking import (
     EXHAUSTED,
     FOUND,
     BoundExceededError,
+    Graph,
     ListAssignment,
     SearchBudget,
     SearchExhaustedError,
@@ -117,6 +119,15 @@ def test_solve_packing_small_cases():
     assert solve_packing(k3, const_lists(k3, {1, 2}), 2).status == ABSENT
 
 
+def test_solve_packing_rejects_a_list_assignment_missing_a_vertex():
+    k3 = complete_graph(3)
+    short = ListAssignment({1: frozenset({1, 2}), 2: frozenset({1, 2})})
+    with pytest.raises(ValueError, match="list assignment domain does not match the vertex set"):
+        solve_packing(k3, short, 2)
+    with pytest.raises(ValueError, match="list assignment domain does not match the vertex set"):
+        solve_list_coloring(k3, short)
+
+
 def test_packing_routes_agree_on_random_instances():
     rng = random.Random(2)
     for g in [complete_graph(3), path_graph(3), cycle_graph(4)]:
@@ -127,6 +138,40 @@ def test_packing_routes_agree_on_random_instances():
             direct = solve_packing(g, ell, 2)
             lifted = solve_packing_via_lift(g, ell, 2)
             assert direct.status == lifted.status
+
+
+def _random_packing_instances(count, seed):
+    """Seeded graphs on at most 8 vertices with k-lists from k+1..k+3
+    colors, k from 1 to 4, some lists one color longer than k."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 8)
+        k = rng.randint(1, 4)
+        density = rng.choice((0.3, 0.6, 0.9))
+        edges = [e for e in combinations(range(1, n + 1), 2) if rng.random() < density]
+        colors = range(1, k + rng.randint(1, 3) + 1)
+        lists = {
+            v: frozenset(rng.sample(colors, rng.randint(k, min(k + 1, len(colors)))))
+            for v in range(1, n + 1)
+        }
+        yield Graph.from_edges(n, edges), ListAssignment(lists), k
+
+
+# SHA-256 over (status, nodes, witness rows) of every instance, recorded from
+# the search that compared color tuples coordinate by coordinate.
+SOLVE_PACKING_SHA256 = "012b03d96c8ed67f6acddd8074236d0798877a503672ffa1b7544410b4bf3813"
+
+
+def test_solve_packing_outputs_match_pinned_digest():
+    digest = hashlib.sha256()
+    statuses = Counter()
+    for g, ell, k in _random_packing_instances(600, 2024):
+        result = solve_packing(g, ell, k, SearchBudget(node_limit=5000))
+        rows = None if result.witness is None else [sorted(r.items()) for r in result.witness.rows]
+        digest.update(repr((result.status, result.nodes, rows)).encode())
+        statuses[result.status] += 1
+    assert min(statuses[FOUND], statuses[ABSENT], statuses[EXHAUSTED]) > 0
+    assert digest.hexdigest() == SOLVE_PACKING_SHA256
 
 
 def test_canonical_enumeration_k2_size_one_and_two():
