@@ -70,8 +70,11 @@ def _load_graph(args) -> Graph:
 
 
 def cmd_pack_complete(args) -> int:
-    g = complete_graph(args.n)
-    lists = parse_vertex_lists(_read(args.lists), g)
+    if args.n < 1:
+        raise ValueError(f"need at least one vertex, got n={args.n}")
+    # Parsing needs only the vertex set, so the lists are checked against
+    # the edgeless graph on n vertices before pack_complete builds K_n.
+    lists = parse_vertex_lists(_read(args.lists), Graph.from_edges(args.n, ()))
     m = lists.uniform_size()
     if m is None:
         raise FormatError("lists must all have the same size m")

@@ -80,9 +80,6 @@ class Packing:
     def size(self) -> int:
         return len(self.rows)
 
-    def column(self, v: int) -> tuple[int, ...]:
-        return tuple(row[v] for row in self.rows)
-
 
 def _require_domains(g: Graph, ell: ListAssignment, f: Coloring | None = None) -> None:
     verts = set(g.vertices())
@@ -95,8 +92,9 @@ def _require_domains(g: Graph, ell: ListAssignment, f: Coloring | None = None) -
 def _row_violations(g: Graph, ell: ListAssignment, f: Coloring, indices: tuple[int, ...] = ()):
     """List membership at every vertex, then properness at every edge, of a
     coloring whose domains are already checked."""
+    lists = ell.lists
     for v in g.vertices():
-        if f[v] not in ell[v]:
+        if f[v] not in lists[v]:
             yield Violation(NOT_IN_LIST, (v,), indices)
     for u, v in g.edges:
         if f[u] == f[v]:
@@ -113,16 +111,18 @@ def is_proper_packing(g: Graph, ell: ListAssignment, packing: Packing) -> Verify
     """Check that every row is a proper list coloring and that rows are
     pairwise distinct at every vertex."""
     _require_domains(g, ell)
-    verts = set(g.vertices())
-    for idx, row in enumerate(packing.rows, start=1):
-        if set(row) != verts:
+    verts = g.vertices()
+    domain = set(verts)
+    rows = packing.rows
+    for idx, row in enumerate(rows, start=1):
+        if row.keys() != domain:
             raise ValueError(f"coloring {idx} domain does not match the vertex set")
     violations: list[Violation] = []
-    for idx, row in enumerate(packing.rows, start=1):
+    for idx, row in enumerate(rows, start=1):
         violations.extend(_row_violations(g, ell, row, (idx,)))
-    k = packing.size
-    for v in g.vertices():
-        col = packing.column(v)
+    k = len(rows)
+    for v in verts:
+        col = [row[v] for row in rows]
         if len(set(col)) == k:
             continue
         for i in range(k):

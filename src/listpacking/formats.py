@@ -118,9 +118,9 @@ def parse_vertex_lists(text: str, g: Graph) -> ListAssignment:
         if not (1 <= v <= g.n):
             raise FormatError(f"key {key!r}: vertex out of range 1..{g.n}")
         lists[v] = _check_color_array(key, value)
-    missing = sorted(set(g.vertices()) - set(lists))
-    if missing:
-        raise FormatError(f"no list for vertex {missing[0]}")
+    if len(lists) < g.n:
+        missing = next(v for v in g.vertices() if v not in lists)
+        raise FormatError(f"no list for vertex {missing}")
     return ListAssignment(lists)
 
 

@@ -10,6 +10,7 @@ deterministic: identical inputs give identical vertex orderings and labels.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -208,9 +209,9 @@ def bipartition(g: Graph) -> Bipartition:
             continue
         color[root] = 0
         parent[root] = None
-        queue = [root]
+        queue = deque([root])
         while queue:
-            v = queue.pop(0)
+            v = queue.popleft()
             for w in g.neighbors(v):
                 if w not in color:
                     color[w] = 1 - color[v]

@@ -10,6 +10,12 @@ The packing search encodes each ordered k-tuple of colors as an int bitmask
 of its (coordinate, color) pairs, so that two tuples clash in some coordinate
 exactly when their masks intersect; the masks of a list are built once and
 memoized.
+
+The packing scans are warm-started: consecutive canonical assignments mostly
+share every list but the last, so the scan keeps the last packing it found
+on vertices 1..n-1 and re-fits vertex n alone, by a row-color matching that
+spends one search node.  Only when that fails does a cold search run, and
+only a cold search may report a packing absent.
 """
 
 from __future__ import annotations
@@ -277,12 +283,18 @@ def _packing_search(
         pos[v] = 0
     rows: tuple[Coloring, ...] = tuple({} for _ in range(k))
     for v in g.vertices():
-        mask = chosen[v]
-        while mask:
-            bit = (mask & -mask).bit_length() - 1
-            rows[bit % k][v] = colors[bit // k]
-            mask &= mask - 1
+        _decode_tuple(chosen[v], v, colors, rows)
     return rows
+
+
+def _decode_tuple(mask: int, v: int, colors: Sequence[int], rows: tuple[Coloring, ...]) -> None:
+    """Write the k-tuple that `mask` encodes, colors by rank in `colors`,
+    into the rows as vertex v's entries."""
+    k = len(rows)
+    while mask:
+        bit = (mask & -mask).bit_length() - 1
+        rows[bit % k][v] = colors[bit // k]
+        mask &= mask - 1
 
 
 def solve_packing_via_lift(
@@ -394,7 +406,9 @@ class _Scan:
 def _scan(g: Graph, k: int, decide, ticker: _Ticker) -> _Scan:
     """Run `decide` on each canonical k-assignment of g, in enumeration
     order, until one comes back absent.  `decide` spends from `ticker`,
-    whose deadline is also checked before each assignment."""
+    whose deadline is also checked before each assignment.  The packing
+    scans pass the warm-started `_packing_decider`: a re-fit of the last
+    vertex, one node each, with a cold `_solve_packing` on a miss."""
     scanned = 0
     for ell in enumerate_canonical_assignments(g, k):
         if time.monotonic() > ticker.deadline:
@@ -408,6 +422,66 @@ def _scan(g: Graph, k: int, decide, ticker: _Ticker) -> _Scan:
     return _Scan(None, scanned)
 
 
+def _refit_last_vertex(
+    g: Graph, ell: ListAssignment, rows: tuple[Coloring, ...], ticker: _Ticker
+) -> tuple[Coloring, ...] | None:
+    """Keep a packing's rows on vertices 1..n-1, provided they lie in ell's
+    lists, and give vertex n k distinct colors of L(n), one per row, row j
+    avoiding the row-j colors of n's neighbours: a system of distinct
+    representatives of rows by colors.  It is the first ordered k-tuple of
+    L(n), over the same tuple masks and in the same order as the cold
+    search, that misses the neighbours' (row, color) bits.  None when the
+    kept rows leave the lists or no tuple fits; a re-fit spends one node."""
+    n, lists = g.n, ell.lists
+    for v in range(1, n):
+        if not lists[v].issuperset([row[v] for row in rows]):
+            return None
+    ticker.spend()
+    k = len(rows)
+    colors = sorted(lists[n])
+    rank = {c: r for r, c in enumerate(colors)}
+    nbrs = g.neighbors(n)
+    taken = 0
+    for j, row in enumerate(rows):
+        for w in nbrs:
+            r = rank.get(row[w])
+            if r is not None:
+                taken |= 1 << (r * k + j)
+    for mask in _tuple_masks(tuple(range(len(colors))), k):
+        if not mask & taken:
+            refit = tuple(dict(row) for row in rows)
+            _decode_tuple(mask, n, colors, refit)
+            return refit
+    return None
+
+
+def _packing_decider(g: Graph, k: int, ticker: _Ticker):
+    """The `decide` of a packing scan.  Consecutive canonical assignments
+    mostly differ in the last list only, so before any cold solve the last
+    packing found is re-fitted at vertex n.  Only the cold _solve_packing
+    may return absent, which keeps the scan's first absent assignment."""
+    previous: tuple[Coloring, ...] | None = None
+
+    def decide(ell: ListAssignment) -> SearchResult:
+        nonlocal previous
+        if previous is not None:
+            try:
+                rows = _refit_last_vertex(g, ell, previous, ticker)
+            except _BudgetHit:
+                return SearchResult(EXHAUSTED, nodes=ticker.nodes)
+            if rows is not None:
+                packing = Packing(rows)
+                assert is_proper_packing(g, ell, packing).ok
+                previous = rows
+                return SearchResult(FOUND, witness=packing, nodes=ticker.nodes)
+        result = _solve_packing(g, ell, k, ticker)
+        if result.status == FOUND:
+            previous = result.witness.rows
+        return result
+
+    return decide
+
+
 def find_bad_assignment(
     g: Graph, k: int, budget: SearchBudget | None = None
 ) -> SearchResult:
@@ -415,7 +489,7 @@ def find_bad_assignment(
     proper packing of size k, or absent when every one packs.  The budget
     bounds the whole scan."""
     ticker = _Ticker(budget or SearchBudget())
-    scan = _scan(g, k, lambda ell: _solve_packing(g, ell, k, ticker), ticker)
+    scan = _scan(g, k, _packing_decider(g, k, ticker), ticker)
     if scan.stalled:
         return SearchResult(EXHAUSTED, nodes=ticker.nodes)
     status = ABSENT if scan.bad is None else FOUND
@@ -444,17 +518,29 @@ def chromatic_number(g: Graph, budget: SearchBudget | None = None) -> int:
 def coloring_number(g: Graph) -> int:
     """1 + degeneracy.  Greedy coloring along a reversed min-degree
     elimination order never sees this many forbidden colors, so every
-    k-assignment with k >= coloring_number(g) is colorable."""
-    alive = set(g.vertices())
-    degree = {v: g.degree(v) for v in alive}
-    worst = 0
-    while alive:
-        v = min(alive, key=lambda u: (degree[u], u))
-        worst = max(worst, degree[v])
-        alive.discard(v)
+    k-assignment with k >= coloring_number(g) is colorable.
+
+    The elimination keeps the live vertices in buckets by current degree
+    (Matula and Beck 1983), so it runs in O(n + m): removing a vertex of
+    minimum degree d leaves no live vertex below degree d - 1."""
+    degree = [0] + [g.degree(v) for v in g.vertices()]
+    alive = [False] + [True] * g.n
+    buckets: list[set[int]] = [set() for _ in range(g.max_degree() + 1)]
+    for v in g.vertices():
+        buckets[degree[v]].add(v)
+    worst = d = 0
+    for _ in g.vertices():
+        d = max(d - 1, 0)
+        while not buckets[d]:
+            d += 1
+        v = buckets[d].pop()
+        worst = max(worst, d)
+        alive[v] = False
         for w in g.neighbors(v):
-            if w in alive:
+            if alive[w]:
+                buckets[degree[w]].remove(w)
                 degree[w] -= 1
+                buckets[degree[w]].add(w)
     return worst + 1
 
 
@@ -497,7 +583,7 @@ def list_packing_number(
     ticker = _Ticker(budget or SearchBudget())
     witness: ListAssignment | None = None
     for k in range(1, k_max + 1):
-        scan = _scan(g, k, lambda ell: _solve_packing(g, ell, k, ticker), ticker)
+        scan = _scan(g, k, _packing_decider(g, k, ticker), ticker)
         if scan.stalled:
             raise SearchExhaustedError(scan.stalled)
         if scan.bad is None:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import random
+import time
+from pathlib import Path
 
 import pytest
 
@@ -192,6 +194,26 @@ def test_chi_star_node_budget_bounds_the_whole_scan(tmp_path, capsys):
     k4 = write(tmp_path, "k4.col", format_graph(complete_graph(4)))
     assert main(["chi-star", "--graph", k4, "--max-k", "4", "--budget-nodes", "100"]) == 3
     assert capsys.readouterr().out.splitlines()[0] == "STATUS=exhausted VALUE="
+
+
+def test_chi_star_k4_certificate_is_unchanged(tmp_path, capsys):
+    # Written by the scan that ran a cold search on every assignment.
+    pinned = Path(__file__).parent / "data" / "k4_chi_star_max_k4.json"
+    k4 = write(tmp_path, "k4.col", format_graph(complete_graph(4)))
+    cert = tmp_path / "cert.json"
+    assert main(["chi-star", "--graph", k4, "--max-k", "4", "-o", str(cert)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "STATUS=ok VALUE=4"
+    assert cert.read_bytes() == pinned.read_bytes()
+
+
+def test_pack_complete_reads_the_lists_before_building_k_n(tmp_path, capsys):
+    lists = write(tmp_path, "l.json", lists_json({1: [1, 2, 3]}))
+    start = time.perf_counter()
+    assert main(["pack-complete", "-n", "3000", "--lists", lists]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "STATUS=error VALUE="
+    assert "no list for vertex 2" in captured.err
 
 
 def test_edge_color_command(tmp_path, capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from listpacking import (
@@ -127,6 +129,17 @@ def test_bipartition_classes_have_no_internal_edges():
         bip = bipartition(g)
         for u, v in g.edges:
             assert (u in bip.X) != (v in bip.X)
+
+
+def test_bipartition_is_linear_on_a_wide_component():
+    # A star's whole leaf set sits in the BFS queue at once.
+    leaves = 100_000
+    g = Graph.from_edges(leaves + 1, [(1, v) for v in range(2, leaves + 2)])
+    g.neighbors(1)
+    start = time.perf_counter()
+    bip = bipartition(g)
+    assert time.perf_counter() - start < 0.5
+    assert bip.X == frozenset({1}) and len(bip.Y) == leaves
 
 
 def test_bipartition_odd_cycle_witness():

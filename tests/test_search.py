@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import time
 from collections import Counter
 from itertools import combinations, permutations, product
 
@@ -12,6 +13,7 @@ from listpacking import (
     EXHAUSTED,
     FOUND,
     BoundExceededError,
+    ChiStarResult,
     Graph,
     ListAssignment,
     SearchBudget,
@@ -31,6 +33,7 @@ from listpacking import (
     solve_packing,
     solve_packing_via_lift,
 )
+from listpacking import search
 from .helpers import (
     all_graphs_up_to_iso,
     cycle_graph,
@@ -174,6 +177,40 @@ def test_solve_packing_outputs_match_pinned_digest():
     assert digest.hexdigest() == SOLVE_PACKING_SHA256
 
 
+def _random_coloring_instances(count, seed):
+    """Seeded graphs on at most 10 vertices with lists of 1 to 4 colors
+    from a palette at most 3 colors wider than the list size."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 10)
+        size = rng.randint(1, 3)
+        density = rng.choice((0.3, 0.6, 0.9))
+        edges = [e for e in combinations(range(1, n + 1), 2) if rng.random() < density]
+        colors = range(1, size + rng.randint(1, 3) + 1)
+        lists = {
+            v: frozenset(rng.sample(colors, rng.randint(size, min(size + 1, len(colors)))))
+            for v in range(1, n + 1)
+        }
+        yield Graph.from_edges(n, edges), ListAssignment(lists)
+
+
+# SHA-256 over (status, nodes, witness) of every instance, recorded from the
+# coloring search that runs apart from the packing search.
+SOLVE_LIST_COLORING_SHA256 = "24cdf087886e0e454f66b9780664762dcb776d96c18fe85dd646af7b63fb133d"
+
+
+def test_solve_list_coloring_outputs_match_pinned_digest():
+    digest = hashlib.sha256()
+    statuses = Counter()
+    for g, ell in _random_coloring_instances(600, 2025):
+        result = solve_list_coloring(g, ell, SearchBudget(node_limit=30))
+        witness = None if result.witness is None else sorted(result.witness.items())
+        digest.update(repr((result.status, result.nodes, witness)).encode())
+        statuses[result.status] += 1
+    assert min(statuses[FOUND], statuses[ABSENT], statuses[EXHAUSTED]) > 0
+    assert digest.hexdigest() == SOLVE_LIST_COLORING_SHA256
+
+
 def test_canonical_enumeration_k2_size_one_and_two():
     k2 = complete_graph(2)
     singles = [a for a in enumerate_canonical_assignments(k2, 1)]
@@ -273,6 +310,37 @@ def test_find_bad_assignment_k4():
     assert solve_packing(k4, result.witness, 3).status == ABSENT
 
 
+def _cold_scan(g, k, ticker):
+    """The packing scan without a warm start: a cold solve per assignment."""
+    return search._scan(g, k, lambda ell: search._solve_packing(g, ell, k, ticker), ticker)
+
+
+def test_warm_scans_match_a_cold_reference_scan():
+    for g in all_graphs_up_to_iso(4):
+        ticker = search._Ticker(SearchBudget())
+        witness = None
+        for k in range(1, 5):
+            scan = _cold_scan(g, k, ticker)
+            assert scan.stalled is None
+            if scan.bad is None:
+                break
+            witness = scan.bad
+        assert list_packing_number(g, 4) == ChiStarResult(k, witness, scan.scanned)
+        for k in range(1, 4):
+            scan = _cold_scan(g, k, search._Ticker(SearchBudget()))
+            warm = find_bad_assignment(g, k)
+            assert warm.status == (ABSENT if scan.bad is None else FOUND)
+            assert warm.witness == scan.bad
+
+
+def test_scan_refits_spend_budget():
+    # The K_4 scan at k = 4 takes 4693 nodes, almost all of them re-fits.
+    k4 = complete_graph(4)
+    assert find_bad_assignment(k4, 4).nodes == 4693
+    result = find_bad_assignment(k4, 4, SearchBudget(node_limit=3000))
+    assert result.status == EXHAUSTED and result.nodes == 3001
+
+
 def test_chromatic_numbers():
     assert chromatic_number(complete_graph(5)) == 5
     assert chromatic_number(cycle_graph(5)) == 3
@@ -289,6 +357,41 @@ def test_coloring_number_is_a_list_size_guarantee():
                 {v: frozenset(rng.sample(range(1, 4 * k), k)) for v in g.vertices()}
             )
             assert solve_list_coloring(g, ell).status == FOUND
+
+
+def _naive_coloring_number(g):
+    """1 + the largest minimum degree over the subgraphs induced by
+    nonempty vertex sets, straight from the definition of degeneracy."""
+    best = 0
+    for size in range(1, g.n + 1):
+        for subset in combinations(g.vertices(), size):
+            inside = set(subset)
+            best = max(best, min(sum(w in inside for w in g.neighbors(v)) for v in subset))
+    return best + 1
+
+
+def test_coloring_number_matches_a_naive_reference():
+    graphs = []
+    for n in range(1, 6):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for bits in range(2 ** len(pairs)):
+            graphs.append(Graph.from_edges(n, [e for i, e in enumerate(pairs) if bits >> i & 1]))
+    rng = random.Random(12)
+    for _ in range(40):
+        n = rng.randint(6, 12)
+        p = rng.random()
+        graphs.append(
+            Graph.from_edges(n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < p])
+        )
+    for g in graphs:
+        assert coloring_number(g) == _naive_coloring_number(g), g
+
+
+def test_coloring_number_is_linear_on_an_edgeless_graph():
+    g = Graph.from_edges(4000, [])
+    start = time.perf_counter()
+    assert coloring_number(g) == 1
+    assert time.perf_counter() - start < 0.2
 
 
 def test_list_chromatic_numbers():
