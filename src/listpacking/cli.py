@@ -120,8 +120,10 @@ def cmd_verify(args) -> int:
 
 def cmd_edge_color(args) -> int:
     g = _load_graph(args)
-    bip = bipartition(g)
+    # The lists file is checked before bipartition walks every vertex, so a
+    # bad one costs what it weighs, whatever n the graph header declares.
     edge_lists = parse_edge_lists(_read(args.edge_lists), g)
+    bip = bipartition(g)
     ec = list_edge_color(g, bip, edge_lists)
     _write(args.output, format_edge_coloring(ec))
     _verdict("ok", ec.palette_size)

@@ -105,16 +105,26 @@ def _check_color_array(key: str, value: object) -> frozenset[int]:
     return frozenset(value)
 
 
+def _vertex_id(text: str, key: str) -> int:
+    """Read `text`, part or all of `key`, as a vertex id.  Only the canonical
+    decimal form is accepted -- ASCII digits, no leading zero -- so that no
+    two keys name the same vertex; int() alone would also take a sign,
+    whitespace, `_` separators and leading zeros."""
+    if not (text.isascii() and text.isdigit()) or (text[0] == "0" and text != "0"):
+        raise FormatError(f"key {key!r}: {text!r} is not a vertex id in canonical decimal form")
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        raise FormatError(f"key {key!r}: vertex id too long") from None
+
+
 def parse_vertex_lists(text: str, g: Graph) -> ListAssignment:
-    """JSON object mapping vertex id (decimal string) -> array of colors,
-    covering every vertex exactly once."""
+    """JSON object mapping vertex id (canonical decimal string) -> array of
+    colors, covering every vertex exactly once."""
     data = _load_json_object(text, "lists file")
     lists: dict[int, frozenset[int]] = {}
     for key, value in data.items():
-        try:
-            v = int(key)
-        except ValueError:
-            raise FormatError(f"key {key!r}: not a vertex id") from None
+        v = _vertex_id(key, key)
         if not (1 <= v <= g.n):
             raise FormatError(f"key {key!r}: vertex out of range 1..{g.n}")
         lists[v] = _check_color_array(key, value)
@@ -136,24 +146,23 @@ def parse_inputs(graph_path, lists_path) -> tuple[Graph, ListAssignment]:
 
 
 def parse_edge_lists(text: str, g: Graph) -> dict[Edge, frozenset[int]]:
-    """JSON object mapping "u-v" (u < v) -> array of colors, covering every
-    edge exactly once."""
+    """JSON object mapping "u-v" (u < v, both canonical decimal) -> array of
+    colors, covering every edge exactly once."""
     data = _load_json_object(text, "edge lists file")
     lists: dict[Edge, frozenset[int]] = {}
     for key, value in data.items():
         parts = key.split("-")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except (ValueError, IndexError):
-            raise FormatError(f"key {key!r}: expected 'u-v'") from None
-        if len(parts) != 2 or not u < v:
+        if len(parts) != 2:
+            raise FormatError(f"key {key!r}: expected 'u-v'")
+        u, v = _vertex_id(parts[0], key), _vertex_id(parts[1], key)
+        if not u < v:
             raise FormatError(f"key {key!r}: expected 'u-v' with u < v")
         if not g.has_edge(u, v):
             raise FormatError(f"key {key!r}: not an edge of the graph")
         lists[(u, v)] = _check_color_array(key, value)
-    missing = sorted(set(g.edges) - set(lists))
-    if missing:
-        u, v = missing[0]
+    # Every key names a distinct edge of g, so a short count means a gap.
+    if len(lists) < len(g.edges):
+        u, v = next(e for e in g.edges if e not in lists)
         raise FormatError(f"no list for edge {u}-{v}")
     return lists
 

@@ -11,15 +11,22 @@ matching is exactly a kernel of the pool under those preferences, which is
 why an edge loses a color only when a dominating neighbor got colored -- so
 lists of size at least the maximum degree never run dry.
 
-Cost: a color -> wanting-edges index is built once in O(sum of |L(e)|); the
-colors are then walked in ascending order, and each round costs
-O(|pool| log |pool|) for its pool, stable matching and kernel check.
+Cost: each edge is oriented into (X-vertex, Y-vertex, base color), and each
+X-vertex's preference order is sorted, once per engine run.  The color ->
+wanting-edges index is built once per run of consecutive edges with equal
+lists, not once per edge: in `pack_complete` every edge at x_i carries x_i's
+list, so that is once per X-vertex.  Walking the colors upward, a round scans
+its color's bucket for the pool, runs deferred acceptance along the
+proposers' fixed orders (skipping edges outside the pool), and checks the
+kernel in O(|pool|).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import groupby
 
 from .graphs import Bipartition, Edge, Graph
 
@@ -42,6 +49,20 @@ class PreferenceSystem:
 
     def color(self, e: Edge) -> int:
         return self.base.colors[e]
+
+    @cached_property
+    def oriented(self) -> dict[Edge, tuple[int, int, int]]:
+        """e -> (X-side vertex, Y-side vertex, base color of e)."""
+        split = self.bipartition.split_edge
+        return {e: (*split(e), c) for e, c in self.base.colors.items()}
+
+    @cached_property
+    def order(self) -> dict[int, tuple[tuple[int, int, Edge], ...]]:
+        """x -> x's edges as (base color, y, edge), best (highest) first."""
+        order: dict[int, list[tuple[int, int, Edge]]] = {}
+        for e, (x, y, c) in self.oriented.items():
+            order.setdefault(x, []).append((c, y, e))
+        return {x: tuple(sorted(lst, reverse=True)) for x, lst in order.items()}
 
 
 @dataclass(frozen=True)
@@ -134,29 +155,26 @@ def stable_matching(pool, prefs: PreferenceSystem) -> set[Edge]:
     pool edge xy shares x with a matched edge of higher base color or shares y
     with a matched edge of lower base color.
     """
-    edges = sorted(set(pool))
-    if not edges:
+    members = set(pool)
+    if not members:
         raise ValueError("stable matching of an empty edge pool is undefined")
-    bip = prefs.bipartition
-    colors = prefs.base.colors
-    # proposals[x] = x's pool edges as (base color, y, edge), best first
-    proposals: dict[int, list[tuple[int, int, Edge]]] = {}
-    for e in edges:
-        x, y = bip.split_edge(e)
-        proposals.setdefault(x, []).append((colors[e], y, e))
-    for lst in proposals.values():
-        lst.sort(reverse=True)
-    pointer = dict.fromkeys(proposals, 0)
+    oriented, order = prefs.oriented, prefs.order
+    # proposals[x] = x's pool edges as (base color, y, edge), best first:
+    # x's fixed order, filtered by pool membership as x proposes.
+    proposals = {
+        x: (t for t in order[x] if t[2] in members)
+        for x in sorted({oriented[e][0] for e in members})
+    }
     # The X-optimal stable matching does not depend on the proposal order,
     # so a FIFO queue of free proposers suffices.
-    free = deque(sorted(proposals))
+    free = deque(proposals)
     held: dict[int, tuple[int, int, Edge]] = {}  # y -> (base color, x, edge)
     while free:
         x = free.popleft()
-        if pointer[x] >= len(proposals[x]):
+        proposal = next(proposals[x], None)
+        if proposal is None:
             continue  # exhausted every pool edge; stays unmatched
-        c, y, e = proposals[x][pointer[x]]
-        pointer[x] += 1
+        c, y, e = proposal
         if y not in held:
             held[y] = (c, x, e)
         elif c < held[y][0]:
@@ -176,28 +194,21 @@ def kernel_check(pool, prefs: PreferenceSystem, matching) -> bool:
     m = set(matching)
     if not m <= pool:
         return False
-    used: set[int] = set()
-    for e in m:
-        if e[0] in used or e[1] in used:
-            return False
-        used.update(e)
-    bip = prefs.bipartition
-    colors = prefs.base.colors
-    # The matching is vertex-disjoint, so each vertex has at most one
-    # matched edge, and its base color decides absorption at that vertex.
+    oriented = prefs.oriented
+    # matched_at_x[x] / matched_at_y[y] = the base color of the one matched
+    # edge at that vertex; it decides absorption there.
     matched_at_x: dict[int, int] = {}
     matched_at_y: dict[int, int] = {}
     for e in m:
-        x, y = bip.split_edge(e)
-        matched_at_x[x] = matched_at_y[y] = colors[e]
+        x, y, c = oriented[e]
+        if x in matched_at_x or y in matched_at_y:
+            return False  # two matched edges share a vertex
+        matched_at_x[x] = matched_at_y[y] = c
     for e in pool - m:
-        x, y = bip.split_edge(e)
-        c = colors[e]
-        if x in matched_at_x and matched_at_x[x] > c:
-            continue
-        if y in matched_at_y and matched_at_y[y] < c:
-            continue
-        return False
+        x, y, c = oriented[e]
+        # Base colors are positive, so the defaults never absorb.
+        if matched_at_x.get(x, 0) <= c and matched_at_y.get(y, c) >= c:
+            return False
     return True
 
 
@@ -233,13 +244,19 @@ def list_edge_color_trace(
     prefs = PreferenceSystem(base, bip)
     # wanting[c] = the edges whose lists hold c, in sorted edge order.  Each
     # round empties its own color's bucket, so walking the colors upward
-    # visits exactly the rounds of "smallest color still wanted".
+    # visits exactly the rounds of "smallest color still wanted".  g.edges
+    # is sorted, so indexing each run of consecutive edges with equal lists
+    # at once keeps every bucket sorted.
     wanting: dict[int, list[Edge]] = {}
-    for e in sorted(g.edges):
-        for c in edge_lists[e]:
-            wanting.setdefault(c, []).append(e)
+    size: dict[Edge, int] = {}  # |L(e)|, the deletions that would run e dry
+    for colors, group in groupby(g.edges, key=edge_lists.__getitem__):
+        run = list(group)
+        for c in colors:
+            wanting.setdefault(c, []).extend(run)
+        size.update(dict.fromkeys(run, len(colors)))
     result: dict[Edge, int] = {}
-    trace = GalvinTrace(deletions={e: 0 for e in g.edges})
+    deletions = dict.fromkeys(g.edges, 0)
+    trace = GalvinTrace(deletions=deletions)
     for alpha in sorted(wanting):
         pool = [e for e in wanting[alpha] if e not in result]
         if not pool:
@@ -251,8 +268,9 @@ def list_edge_color_trace(
             result[e] = alpha
         for e in pool:
             if e not in matched:
-                trace.deletions[e] += 1
-                if trace.deletions[e] == len(edge_lists[e]):
+                d = deletions[e] + 1
+                deletions[e] = d
+                if d == size[e]:
                     raise RuntimeError(f"internal error: list at {e} ran dry")
         trace.rounds.append(RoundTrace(alpha, tuple(pool), tuple(sorted(matched))))
     if len(result) != len(g.edges):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import time
 from pathlib import Path
 
@@ -91,6 +92,31 @@ def test_parse_edge_lists_roundtrip_and_errors():
         parse_edge_lists('{"1-2": [1]}', g)
     with pytest.raises(FormatError, match="no list for edge"):
         parse_edge_lists('{"1-3": [1]}', g)
+
+
+@pytest.mark.parametrize("key", ["01", "+1", "-1", " 1", "1 ", "1_0", "\u0661", ""])
+def test_parse_vertex_lists_rejects_non_canonical_keys(key):
+    # int() reads each of these as a vertex id, so "01" next to "1" used to
+    # overwrite vertex 1's list without a word.
+    g = parse_graph("p edge 10 0\n")
+    lists = {str(v): [v] for v in range(2, 11)}
+    lists["1"] = [1]
+    lists[key] = [5]
+    with pytest.raises(FormatError, match=re.escape(f"key {key!r}")):
+        parse_vertex_lists(json.dumps(lists), g)
+
+
+@pytest.mark.parametrize(
+    "key", ["01-13", "1-013", "+1-13", "1-+13", " 1-13", "1- 13", "1-13 ", "1_0-13", "1-\u0661\u0663"]
+)
+def test_parse_edge_lists_rejects_non_canonical_keys(key):
+    from listpacking.formats import parse_edge_lists
+
+    g, _ = complete_bipartite(10, 10)
+    lists = {f"{u}-{v}": [1] for u, v in g.edges}
+    lists[key] = [2]
+    with pytest.raises(FormatError, match=re.escape(f"key {key!r}")):
+        parse_edge_lists(json.dumps(lists), g)
 
 
 def test_parse_packing_roundtrip_and_errors():
@@ -226,6 +252,17 @@ def test_edge_color_command(tmp_path, capsys):
     data = json.loads((tmp_path / "colors.json").read_text())
     assert set(data) == {f"{u}-{v}" for u, v in g.edges}
     capsys.readouterr()
+
+
+def test_edge_color_reads_the_edge_lists_before_the_bipartition(tmp_path, capsys):
+    graph = write(tmp_path, "huge.col", "p edge 1000000 0\n")
+    lists = write(tmp_path, "el.json", '{"1-2": [1]}')
+    start = time.perf_counter()
+    assert main(["edge-color", "--graph", graph, "--edge-lists", lists]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "STATUS=error VALUE="
+    assert "not an edge of the graph" in captured.err
 
 
 def test_input_errors_exit_two(tmp_path, capsys):

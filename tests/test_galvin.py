@@ -269,6 +269,14 @@ def test_kernel_check_rejects_one_unabsorbed_pool_edge():
     assert not kernel_check({(1, 3), (2, 3)}, prefs, {(2, 3)})
 
 
+def test_kernel_check_rejects_a_matching_that_shares_a_y_vertex():
+    # Nothing is left to absorb, so only vertex-disjointness can reject it.
+    g, bip = complete_bipartite(2, 2)
+    prefs = _prefs(g, bip)
+    assert not kernel_check({(1, 3), (2, 3)}, prefs, {(1, 3), (2, 3)})
+    assert not kernel_check({(1, 3), (1, 4)}, prefs, {(1, 3), (1, 4)})
+
+
 def test_kernel_check_rejects_matched_edge_outside_pool():
     g, bip = complete_bipartite(2, 2)
     prefs = _prefs(g, bip)
@@ -315,3 +323,50 @@ def test_engine_outputs_match_pinned_digests():
     assert _digest((rounds, sorted(trace.deletions.items()), sorted(ec.colors.items()))) == (
         "31b5412e571bf41db1843b2215e1cb136f4e0d00b94e4b3a43fd940db0456c70"
     )
+
+
+def test_shared_list_engine_output_matches_pinned_digest():
+    # pack_complete's shape: every edge at x_i carries x_i's one list object,
+    # and several x_i hold equal lists (both as distinct objects and as one
+    # shared object).  Recorded on the per-edge color index.
+    rng = random.Random(77)
+    n = m = 8
+    g, bip = complete_bipartite(n, m)
+    per_x = {x: frozenset(rng.sample(range(1, 13), m)) for x in range(1, n + 1)}
+    per_x[3] = frozenset(sorted(per_x[1]))  # equal to x_1's, another object
+    per_x[5] = per_x[6] = per_x[2]  # one object at three X-vertices
+    per_x[8] = frozenset(sorted(per_x[2], reverse=True))
+    edge_lists = {(x, n + j): per_x[x] for x in range(1, n + 1) for j in range(1, m + 1)}
+    ec, trace = list_edge_color_trace(g, bip, edge_lists)
+    rounds = [(r.color, r.pool, r.matched) for r in trace.rounds]
+    digest = _digest((rounds, sorted(trace.deletions.items()), sorted(ec.colors.items())))
+    assert digest == "d32fe5e694d7401af13d5b40e39a1abf147d4eb15a08028ef250c8dd13d8e8f0"
+
+
+def test_each_round_calls_the_matching_and_the_kernel_check_once(monkeypatch):
+    # The benchmark's tracer times these two layers by wrapping them on the
+    # galvin module, so the engine must reach them through its module globals.
+    from listpacking import galvin
+
+    calls = {"stable_matching": 0, "kernel_check": 0}
+
+    def counting(name):
+        original = getattr(galvin, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(galvin, name, counting(name))
+    rng = random.Random(41)
+    for n, m in ((1, 1), (3, 4), (6, 6)):
+        g, bip = complete_bipartite(n, m)
+        delta = g.max_degree()
+        lists = {e: frozenset(rng.sample(range(1, 2 * delta + 1), delta)) for e in g.edges}
+        calls.update(dict.fromkeys(calls, 0))
+        _, trace = list_edge_color_trace(g, bip, lists)
+        assert trace.rounds
+        assert calls == dict.fromkeys(calls, len(trace.rounds))

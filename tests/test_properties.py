@@ -1,5 +1,6 @@
 """Property-based tests: the packing search against the lift route on
-small random graphs and lists."""
+small random graphs and lists, and the constructive packer against the
+independent packing checker."""
 
 from __future__ import annotations
 
@@ -16,8 +17,11 @@ from listpacking import (  # noqa: E402
     FOUND,
     Graph,
     ListAssignment,
+    PackRequest,
     SearchBudget,
+    complete_graph,
     is_proper_packing,
+    pack_complete,
     solve_packing,
     solve_packing_via_lift,
 )
@@ -52,3 +56,23 @@ def test_solve_packing_agrees_with_the_lift_route(instance):
     if direct.status == FOUND:
         assert is_proper_packing(g, ell, direct.witness).ok
         assert is_proper_packing(g, ell, lifted.witness).ok
+
+
+@st.composite
+def complete_graph_assignments(draw):
+    """An m-assignment of K_n, n <= m <= 10, with every list drawn from a
+    palette of m to m^2 colors."""
+    m = draw(st.integers(1, 10))
+    n = draw(st.integers(1, m))
+    palette = draw(st.integers(m, m * m))
+    one_list = st.sets(st.integers(1, palette), min_size=m, max_size=m)
+    return n, m, ListAssignment({v: frozenset(draw(one_list)) for v in range(1, n + 1)})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(complete_graph_assignments())
+def test_pack_complete_returns_a_proper_packing(instance):
+    n, m, ell = instance
+    packing = pack_complete(PackRequest(n, ell, m))
+    assert packing.size == m
+    assert is_proper_packing(complete_graph(n), ell, packing).ok
