@@ -209,8 +209,18 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error like any other input error: the STATUS line on
+    stdout first, then argparse's usage and message on stderr, exit 2."""
+
+    def error(self, message: str):
+        _verdict("error")
+        sys.stdout.flush()
+        super().error(message)  # exits with status 2, EXIT_INPUT
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="listpacking",
         description="Construct and certify proper list packings of complete graphs.",
     )

@@ -11,14 +11,15 @@ matching is exactly a kernel of the pool under those preferences, which is
 why an edge loses a color only when a dominating neighbor got colored -- so
 lists of size at least the maximum degree never run dry.
 
-Cost: each edge is oriented into (X-vertex, Y-vertex, base color), and each
-X-vertex's preference order is sorted, once per engine run.  The color ->
-wanting-edges index is built once per run of consecutive edges with equal
-lists, not once per edge: in `pack_complete` every edge at x_i carries x_i's
-list, so that is once per X-vertex.  Walking the colors upward, a round scans
-its color's bucket for the pool, runs deferred acceptance along the
-proposers' fixed orders (skipping edges outside the pool), and checks the
-kernel in O(|pool|).
+Cost: each edge gets an id, its position in sorted edge order, and is
+oriented into (X-vertex, Y-vertex, base color) in id-indexed lists; each
+X-vertex's preference order is sorted once.  All of that happens once per
+engine run.  The color -> wanting-edge-ids index is built once per run of
+consecutive edges with equal lists (once per X-vertex in `pack_complete`).
+Walking the colors upward, a round forms its pool by list indexing, maps it
+to edges once for the trace and the two round functions, and each of those
+hashes every pool edge once to get its id; deferred acceptance along the
+proposers' fixed orders and the kernel check then run on ints in O(|pool|).
 """
 
 from __future__ import annotations
@@ -51,17 +52,28 @@ class PreferenceSystem:
         return self.base.colors[e]
 
     @cached_property
-    def oriented(self) -> dict[Edge, tuple[int, int, int]]:
-        """e -> (X-side vertex, Y-side vertex, base color of e)."""
-        split = self.bipartition.split_edge
-        return {e: (*split(e), c) for e, c in self.base.colors.items()}
+    def edges(self) -> tuple[Edge, ...]:
+        """Edge id -> edge: ids follow sorted edge order, the order of g.edges."""
+        return tuple(sorted(self.base.colors))
 
     @cached_property
-    def order(self) -> dict[int, tuple[tuple[int, int, Edge], ...]]:
-        """x -> x's edges as (base color, y, edge), best (highest) first."""
-        order: dict[int, list[tuple[int, int, Edge]]] = {}
-        for e, (x, y, c) in self.oriented.items():
-            order.setdefault(x, []).append((c, y, e))
+    def index(self) -> dict[Edge, int]:
+        """Edge -> edge id."""
+        return {e: i for i, e in enumerate(self.edges)}
+
+    @cached_property
+    def oriented(self) -> tuple[list[int], list[int], list[int]]:
+        """Per edge id: its X-side end, its Y-side end and its base color."""
+        ends = [self.bipartition.split_edge(e) for e in self.edges]
+        colors = [self.base.colors[e] for e in self.edges]
+        return [x for x, _ in ends], [y for _, y in ends], colors
+
+    @cached_property
+    def order(self) -> dict[int, tuple[tuple[int, int, int], ...]]:
+        """x -> x's edges as (base color, y, edge id), best (highest) first."""
+        order: dict[int, list[tuple[int, int, int]]] = {}
+        for i, x, y, c in zip(self.index.values(), *self.oriented):  # reuse index's ints
+            order.setdefault(x, []).append((c, y, i))
         return {x: tuple(sorted(lst, reverse=True)) for x, lst in order.items()}
 
 
@@ -95,14 +107,11 @@ def edge_color_bipartite(g: Graph, bip: Bipartition) -> EdgeColoring:
     """
     _check_bipartition(g, bip)
     delta = g.max_degree()
-    xs, ys = sorted(bip.X), sorted(bip.Y)
-    if len(g.edges) == len(xs) * len(ys) and g.edges:
-        index_x = {v: i for i, v in enumerate(xs, start=1)}
-        index_y = {v: j for j, v in enumerate(ys, start=1)}
-        colors = {}
-        for e in g.edges:
-            x, y = bip.split_edge(e)
-            colors[e] = (index_x[x] + index_y[y] - 2) % delta + 1
+    if len(g.edges) == len(bip.X) * len(bip.Y) and g.edges:
+        # 0-based rank of each vertex on its own side.  The form is symmetric
+        # in the two ends, so the checked edges need not be split again.
+        rank = {v: i for side in (bip.X, bip.Y) for i, v in enumerate(sorted(side))}
+        colors = {e: (rank[e[0]] + rank[e[1]]) % delta + 1 for e in g.edges}
         return EdgeColoring(colors, delta)
     return _edge_color_augmenting(g, delta)
 
@@ -155,34 +164,36 @@ def stable_matching(pool, prefs: PreferenceSystem) -> set[Edge]:
     pool edge xy shares x with a matched edge of higher base color or shares y
     with a matched edge of lower base color.
     """
-    members = set(pool)
+    index = prefs.index
+    members = {index[e] for e in pool}
     if not members:
         raise ValueError("stable matching of an empty edge pool is undefined")
-    oriented, order = prefs.oriented, prefs.order
-    # proposals[x] = x's pool edges as (base color, y, edge), best first:
+    x_end, order = prefs.oriented[0], prefs.order
+    # proposals[x] = x's pool edges as (base color, y, edge id), best first:
     # x's fixed order, filtered by pool membership as x proposes.
     proposals = {
         x: (t for t in order[x] if t[2] in members)
-        for x in sorted({oriented[e][0] for e in members})
+        for x in sorted({x_end[i] for i in members})
     }
     # The X-optimal stable matching does not depend on the proposal order,
     # so a FIFO queue of free proposers suffices.
     free = deque(proposals)
-    held: dict[int, tuple[int, int, Edge]] = {}  # y -> (base color, x, edge)
+    held: dict[int, tuple[int, int, int]] = {}  # y -> (base color, x, edge id)
     while free:
         x = free.popleft()
         proposal = next(proposals[x], None)
         if proposal is None:
             continue  # exhausted every pool edge; stays unmatched
-        c, y, e = proposal
+        c, y, i = proposal
         if y not in held:
-            held[y] = (c, x, e)
+            held[y] = (c, x, i)
         elif c < held[y][0]:
             free.append(held[y][1])
-            held[y] = (c, x, e)
+            held[y] = (c, x, i)
         else:
             free.append(x)
-    return {e for _, _, e in held.values()}
+    edges = prefs.edges
+    return {edges[i] for _, _, i in held.values()}
 
 
 def kernel_check(pool, prefs: PreferenceSystem, matching) -> bool:
@@ -190,24 +201,25 @@ def kernel_check(pool, prefs: PreferenceSystem, matching) -> bool:
     the matching lies inside the pool, is vertex-disjoint, and absorbs every
     other pool edge xy by a matched edge at x of higher base color or a
     matched edge at y of lower base color."""
-    pool = set(pool)
-    m = set(matching)
+    index = prefs.index
+    pool = {index[e] for e in pool}
+    m = {index.get(e, -1) for e in matching}  # -1: not an edge, so not in the pool
     if not m <= pool:
         return False
-    oriented = prefs.oriented
+    x_end, y_end, base_color = prefs.oriented
     # matched_at_x[x] / matched_at_y[y] = the base color of the one matched
     # edge at that vertex; it decides absorption there.
     matched_at_x: dict[int, int] = {}
     matched_at_y: dict[int, int] = {}
-    for e in m:
-        x, y, c = oriented[e]
+    for i in m:
+        x, y = x_end[i], y_end[i]
         if x in matched_at_x or y in matched_at_y:
             return False  # two matched edges share a vertex
-        matched_at_x[x] = matched_at_y[y] = c
-    for e in pool - m:
-        x, y, c = oriented[e]
+        matched_at_x[x] = matched_at_y[y] = base_color[i]
+    for i in pool - m:
+        c = base_color[i]
         # Base colors are positive, so the defaults never absorb.
-        if matched_at_x.get(x, 0) <= c and matched_at_y.get(y, c) >= c:
+        if matched_at_x.get(x_end[i], 0) <= c and matched_at_y.get(y_end[i], c) >= c:
             return False
     return True
 
@@ -231,7 +243,7 @@ def list_edge_color_trace(
     unmatched ones.  Every matching is re-checked with kernel_check before
     colors are committed.
     """
-    _check_bipartition(g, bip)
+    base = edge_color_bipartite(g, bip)  # checks bip before any list is read
     if set(edge_lists) != set(g.edges):
         raise ValueError("edge list domain does not match the edge set")
     delta = g.max_degree()
@@ -240,45 +252,47 @@ def list_edge_color_trace(
             raise ValueError(
                 f"list at edge {e} has {len(colors)} colors, need at least {delta}"
             )
-    base = edge_color_bipartite(g, bip)
     prefs = PreferenceSystem(base, bip)
-    # wanting[c] = the edges whose lists hold c, in sorted edge order.  Each
+    edges, index = prefs.edges, prefs.index
+    # wanting[c] = the ids of the edges whose lists hold c, ascending.  Each
     # round empties its own color's bucket, so walking the colors upward
-    # visits exactly the rounds of "smallest color still wanted".  g.edges
-    # is sorted, so indexing each run of consecutive edges with equal lists
-    # at once keeps every bucket sorted.
-    wanting: dict[int, list[Edge]] = {}
-    size: dict[Edge, int] = {}  # |L(e)|, the deletions that would run e dry
-    for colors, group in groupby(g.edges, key=edge_lists.__getitem__):
-        run = list(group)
+    # visits exactly the rounds of "smallest color still wanted".  Ids follow
+    # g.edges, so indexing each run of consecutive edges with equal lists at
+    # once keeps every bucket ascending.
+    wanting: dict[int, list[int]] = {}
+    size: list[int] = []  # |L(e)|, the deletions that would run e dry
+    for colors, group in groupby(index.items(), key=lambda item: edge_lists[item[0]]):
+        run = [i for _, i in group]  # index's ints: one object per id
         for c in colors:
             wanting.setdefault(c, []).extend(run)
-        size.update(dict.fromkeys(run, len(colors)))
-    result: dict[Edge, int] = {}
-    deletions = dict.fromkeys(g.edges, 0)
-    trace = GalvinTrace(deletions=deletions)
+        size += [len(colors)] * len(run)
+    color: list[int | None] = [None] * len(edges)
+    deletions = [0] * len(edges)
+    rounds: list[RoundTrace] = []
     for alpha in sorted(wanting):
-        pool = [e for e in wanting[alpha] if e not in result]
-        if not pool:
+        ids = [i for i in wanting[alpha] if color[i] is None]
+        if not ids:
             continue
+        pool = [edges[i] for i in ids]
         matched = stable_matching(pool, prefs)
         if not kernel_check(pool, prefs, matched):
             raise RuntimeError("internal error: round matching is not a kernel")
         for e in matched:
-            result[e] = alpha
-        for e in pool:
-            if e not in matched:
-                d = deletions[e] + 1
-                deletions[e] = d
-                if d == size[e]:
-                    raise RuntimeError(f"internal error: list at {e} ran dry")
-        trace.rounds.append(RoundTrace(alpha, tuple(pool), tuple(sorted(matched))))
-    if len(result) != len(g.edges):
+            color[index[e]] = alpha
+        for i in ids:
+            if color[i] is None:
+                deletions[i] += 1
+                if deletions[i] == size[i]:
+                    raise RuntimeError(f"internal error: list at {edges[i]} ran dry")
+        rounds.append(RoundTrace(alpha, tuple(pool), tuple(sorted(matched))))
+    if None in color:
         raise RuntimeError("internal error: rounds ended with edges uncolored")
+    result = dict(zip(edges, color))
     problems = verify_edge_coloring(g, result, edge_lists)
     if problems:
         raise RuntimeError("internal error: " + "; ".join(problems))
-    return EdgeColoring(result, max(result.values(), default=0)), trace
+    trace = GalvinTrace(rounds, dict(zip(edges, deletions)))
+    return EdgeColoring(result, max(color, default=0)), trace
 
 
 def verify_edge_coloring(

@@ -6,7 +6,8 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations, permutations
 
-from listpacking import Graph, ListAssignment
+from listpacking import Graph, ListAssignment, Packing
+from listpacking.galvin import _edge_color_augmenting
 
 
 def all_graphs_up_to_iso(max_n: int) -> list[Graph]:
@@ -66,3 +67,20 @@ def orbit_count(n: int, k: int) -> int:
                 a += 1
         totals = step
     return totals[(k,) * n]
+
+
+def konig_pack(n: int, lists: ListAssignment, m: int) -> Packing:
+    """A packing of size m of an m-assignment of K_n, n <= m, by Konig's
+    edge-coloring theorem in place of Galvin's: m-edge-color the vertex-color
+    incidence graph B, where v ~ c iff c is in L(v), and give v in row j the
+    color whose edge at v got color j.  Properness at v makes the rows
+    disjoint at v; properness at c makes each row injective.  Every color
+    lies in at most n <= m lists, so B has max degree m."""
+    palette = sorted(set().union(*(lists[v] for v in range(1, n + 1))))
+    vertex = {c: n + k for k, c in enumerate(palette, start=1)}
+    incidence = [(v, vertex[c]) for v in range(1, n + 1) for c in lists[v]]
+    ec = _edge_color_augmenting(Graph.from_edges(n + len(palette), incidence), m)
+    rows: list[dict[int, int]] = [{} for _ in range(m)]
+    for (v, c), j in ec.colors.items():
+        rows[j - 1][v] = palette[c - n - 1]
+    return Packing(tuple(rows))

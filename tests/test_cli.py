@@ -339,3 +339,86 @@ def test_verify_accepts_every_pack_complete_output(tmp_path, capsys):
             == 0
         )
         capsys.readouterr()
+
+
+K23_COL = "p edge 5 6\n" + "".join(f"e {x} {y}\n" for x in (1, 2) for y in (3, 4, 5))
+K23_EDGES = [f"{x}-{y}" for x in (1, 2) for y in (3, 4, 5)]
+GOOD_FILES = {
+    "graph": K3_COL,
+    "lists": lists_json({v: [1, 2, 3] for v in (1, 2, 3)}),
+    "packing": '{"k": 3, "colorings": [[1,2,3],[2,3,1],[3,1,2]]}',
+    "bigraph": K23_COL,
+    "edge_lists": json.dumps({e: [1, 2, 3] for e in K23_EDGES}),
+}
+# Each subcommand with valid arguments; "{name}" stands for a file of GOOD_FILES.
+GOOD_ARGV = {
+    "pack-complete": ["-n", "3", "--lists", "{lists}"],
+    "solve": ["--graph", "{graph}", "--lists", "{lists}", "--size", "3"],
+    "verify": ["--graph", "{graph}", "--lists", "{lists}", "--packing", "{packing}"],
+    "edge-color": ["--graph", "{bigraph}", "--edge-lists", "{edge_lists}"],
+    "chi": ["--graph", "{graph}"],
+    "chi-list": ["--graph", "{graph}", "--max-k", "3"],
+    "chi-star": ["--graph", "{graph}", "--max-k", "3"],
+    "scan": ["--size", "2"],
+}
+# Bad contents, replacing the first file of the argv that has an entry here.
+BAD_FILES = {
+    "empty file": dict.fromkeys(GOOD_FILES, ""),
+    "malformed DIMACS header": {
+        "graph": K3_COL.replace("p edge 3 3", "p edge three 3"),
+        "bigraph": K23_COL.replace("p edge 5 6", "p edges 5 6"),
+    },
+    "non-canonical list key": {
+        "lists": '{"01": [1, 2, 3], "2": [1, 2, 3], "3": [1, 2, 3]}',
+        "edge_lists": json.dumps({e.replace("1-", "01-"): [1, 2, 3] for e in K23_EDGES}),
+    },
+    "short lists": {
+        "lists": lists_json({v: [1, 2] for v in (1, 2, 3)}),
+        "edge_lists": json.dumps({e: [1, 2] for e in K23_EDGES}),
+    },
+}
+
+
+def _bad_input(command: str, case: str) -> tuple[list[str], dict[str, str]] | None:
+    """The argv of one bad-input case and the file contents it replaces, or
+    None when the case does not apply to the subcommand."""
+    argv = [command, *GOOD_ARGV[command]]
+    if case == "missing flag":  # scan has no required flag; drop a value instead
+        return ([command, "--size"] if command == "scan" else [command, *argv[3:]]), {}
+    if case == "non-integer flag":
+        if command == "pack-complete":
+            return [command, "-n", "abc", *argv[3:]], {}
+        return [*argv, "--budget-nodes", "many"], {}
+    files = [a[1:-1] for a in argv if a.startswith("{")]
+    if case == "missing file":
+        return ([a.replace(f"{{{files[0]}}}", "{missing}") for a in argv], {}) if files else None
+    bad = [f for f in files if f in BAD_FILES[case]]
+    return (argv, {bad[0]: BAD_FILES[case][bad[0]]}) if bad else None
+
+
+BAD_CASES = [
+    (command, case, *bad)
+    for command in GOOD_ARGV
+    for case in ("missing flag", "non-integer flag", "missing file", *BAD_FILES)
+    if (bad := _bad_input(command, case)) is not None
+]
+
+
+@pytest.mark.parametrize(
+    "command, case, argv, contents", BAD_CASES, ids=[f"{c}-{k}" for c, k, *_ in BAD_CASES]
+)
+def test_every_subcommand_reports_bad_input_with_a_status_line(
+    tmp_path, capsys, command, case, argv, contents
+):
+    paths = {"missing": str(tmp_path / "missing.txt")}
+    for name, text in {**GOOD_FILES, **contents}.items():
+        paths[name] = write(tmp_path, f"{name}.txt", text)
+    argv = [paths[a[1:-1]] if a.startswith("{") else a for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0].startswith("STATUS="), captured.out
+    assert code in (1, 2, 3)
+    assert "Traceback" not in captured.err

@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 from listpacking import (
+    Bipartition,
     Graph,
     ListAssignment,
     PackRequest,
@@ -117,6 +118,32 @@ def test_edge_color_rejects_non_bipartite_input():
 
     with pytest.raises(ValueError):
         edge_color_bipartite(g, Bipartition(frozenset({1, 2}), frozenset({3})))
+
+
+def test_engine_rejects_a_bad_bipartition_before_reading_any_list():
+    g = Graph.from_edges(3, [(1, 2), (1, 3), (2, 3)])
+    # None is not a mapping: reading it would raise TypeError, not ValueError.
+    with pytest.raises(ValueError, match="does not cross"):
+        list_edge_color_trace(g, Bipartition(frozenset({1, 2}), frozenset({3})), None)
+
+
+def test_engine_splits_each_edge_at_most_twice(monkeypatch):
+    calls = []
+    split = Bipartition.split_edge
+
+    def counting(bip, e):
+        calls.append(e)
+        return split(bip, e)
+
+    monkeypatch.setattr(Bipartition, "split_edge", counting)
+    rng = random.Random(8)
+    for n, m in ((6, 6), (5, 7)):
+        for g, bip in (complete_bipartite(n, m), _random_bipartite(rng, n, m)):
+            delta = g.max_degree()
+            lists = {e: frozenset(rng.sample(range(1, 2 * delta + 1), delta)) for e in g.edges}
+            calls.clear()
+            list_edge_color_trace(g, bip, lists)
+            assert len(calls) <= 2 * len(g.edges)
 
 
 def _prefs(g, bip):
@@ -370,3 +397,40 @@ def test_each_round_calls_the_matching_and_the_kernel_check_once(monkeypatch):
         _, trace = list_edge_color_trace(g, bip, lists)
         assert trace.rounds
         assert calls == dict.fromkeys(calls, len(trace.rounds))
+
+
+def _random_engine_instance(rng):
+    """A bipartite graph, complete or not, with lists of sizes delta..delta+2:
+    either one list per edge, or one list object per X-vertex, some X-vertices
+    sharing one object."""
+    n, m = rng.randint(1, 6), rng.randint(1, 6)
+    g, bip = complete_bipartite(n, m)
+    if rng.random() < 0.5:
+        g, bip = _random_bipartite(rng, n, m)
+    delta = g.max_degree()
+    palette = range(1, 2 * delta + 5)
+    if rng.random() < 0.5:
+        return g, bip, {
+            e: frozenset(rng.sample(palette, delta + rng.randint(0, 2))) for e in g.edges
+        }
+    shared = frozenset(rng.sample(palette, delta + rng.randint(0, 2)))
+    per_x = {
+        x: shared if rng.random() < 0.4 else frozenset(rng.sample(palette, delta + rng.randint(0, 2)))
+        for x in range(1, n + 1)
+    }
+    return g, bip, {e: per_x[e[0]] for e in g.edges}
+
+
+def test_random_bipartite_engine_outputs_match_pinned_digest():
+    # 200 seeded instances over both base colorings and both list shapes.
+    # Recorded on the tuple-keyed engine; the id engine must reproduce it.
+    rng = random.Random(2207)
+    runs = []
+    for _ in range(200):
+        g, bip, edge_lists = _random_engine_instance(rng)
+        ec, trace = list_edge_color_trace(g, bip, edge_lists)
+        rounds = [(r.color, r.pool, r.matched) for r in trace.rounds]
+        runs.append((rounds, sorted(trace.deletions.items()), sorted(ec.colors.items())))
+    assert _digest(runs) == (
+        "b151e18af8cc44bf07cab09dcc992576d1ec6a372bd04a3e43874fe3e954018f"
+    )

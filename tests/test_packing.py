@@ -20,7 +20,7 @@ from listpacking import (
     solve_packing,
 )
 from listpacking.galvin import list_edge_color
-from .helpers import path_graph
+from .helpers import konig_pack, path_graph
 
 
 def exhaustive_solver(h, lifted):
@@ -86,6 +86,21 @@ def test_pack_random_assignments_verify():
                 packing = pack_complete(PackRequest(n, ell, m))
                 assert packing.size == m
                 assert is_proper_packing(complete_graph(n), ell, packing).ok
+
+
+def test_konig_reference_and_pack_complete_both_verify():
+    rng = random.Random(1916)
+    for _ in range(50):
+        m = rng.randint(1, 12)
+        n = rng.randint(1, m)
+        palette = rng.randint(m, m * m)
+        ell = ListAssignment(
+            {v: frozenset(rng.sample(range(1, palette + 1), m)) for v in range(1, n + 1)}
+        )
+        g = complete_graph(n)
+        for packing in (konig_pack(n, ell, m), pack_complete(PackRequest(n, ell, m))):
+            assert packing.size == m
+            assert is_proper_packing(g, ell, packing).ok
 
 
 def test_pullback_is_bit_exact():
