@@ -12,7 +12,6 @@ a dominating neighbor that just got colored, so no list ever runs dry.
 import random
 
 from listpacking import (
-    PreferenceSystem,
     complete_bipartite,
     edge_color_bipartite,
     list_edge_color_trace,
@@ -47,7 +46,6 @@ print("\nper-edge deletion counters (all must stay <= max degree - 1 = 2):")
 for e in g.edges:
     print(f"  {e}: {trace.deletions[e]}")
 
-prefs = PreferenceSystem(base, bip)
 print(f"\nfinal coloring: {dict(sorted(ec.colors.items()))}")
 print(f"independent check (properness + list membership): "
       f"{verify_edge_coloring(g, ec.colors, lists) == []}")

@@ -21,10 +21,11 @@ def parse_graph(text: str) -> Graph:
     """DIMACS-style: optional `c` comment lines, one `p edge <n> <e>` line,
     then `e <u> <v>` lines with 1-based vertex ids."""
     n: int | None = None
-    declared_edges: int | None = None
+    declared_edges = problem_line = 0
     edges: list[Edge] = []
     seen: set[Edge] = set()
-    for num, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for num, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -42,6 +43,7 @@ def parse_graph(text: str) -> Graph:
                 raise FormatError(f"line {num}: non-integer counts") from None
             if n < 0 or declared_edges < 0:
                 raise FormatError(f"line {num}: negative counts")
+            problem_line = num
         elif fields[0] == "e":
             if n is None:
                 raise FormatError(f"line {num}: edge before the problem line")
@@ -63,10 +65,10 @@ def parse_graph(text: str) -> Graph:
         else:
             raise FormatError(f"line {num}: unrecognized line {line!r}")
     if n is None:
-        raise FormatError("missing problem line 'p edge <n> <e>'")
+        raise FormatError(f"line {len(lines) + 1}: missing problem line 'p edge <n> <e>'")
     if len(edges) != declared_edges:
         raise FormatError(
-            f"declared {declared_edges} edges but found {len(edges)}"
+            f"line {problem_line}: declared {declared_edges} edges but found {len(edges)}"
         )
     return Graph.from_edges(n, edges)
 
@@ -75,6 +77,10 @@ def format_graph(g: Graph) -> str:
     lines = [f"p edge {g.n} {len(g.edges)}"]
     lines += [f"e {u} {v}" for u, v in g.edges]
     return "\n".join(lines) + "\n"
+
+
+def _line_of(text: str, offset: int) -> int:
+    return text.count("\n", 0, offset) + 1
 
 
 def _load_json_object(text: str, what: str) -> dict:
@@ -86,12 +92,23 @@ def _load_json_object(text: str, what: str) -> dict:
             obj[key] = value
         return obj
 
+    def read_int(digits: str) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # more digits than int() converts
+            line = _line_of(text, text.find(digits))
+            raise FormatError(f"{what}: line {line}: integer too long") from None
+
+    # The line where the top-level value starts, counting lines as json does.
+    start = _line_of(text, len(text) - len(text.lstrip(" \t\n\r")))
     try:
-        data = json.loads(text, object_pairs_hook=reject_duplicates)
+        data = json.loads(text, object_pairs_hook=reject_duplicates, parse_int=read_int)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{what}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise FormatError(f"{what}: line {start}: JSON nested too deeply") from None
     if not isinstance(data, dict):
-        raise FormatError(f"{what}: expected a JSON object")
+        raise FormatError(f"{what}: line {start}: expected a JSON object")
     return data
 
 
@@ -130,7 +147,7 @@ def parse_vertex_lists(text: str, g: Graph) -> ListAssignment:
         lists[v] = _check_color_array(key, value)
     if len(lists) < g.n:
         missing = next(v for v in g.vertices() if v not in lists)
-        raise FormatError(f"no list for vertex {missing}")
+        raise FormatError(f"key '{missing}' is missing: no list for vertex {missing}")
     return ListAssignment(lists)
 
 
@@ -163,7 +180,7 @@ def parse_edge_lists(text: str, g: Graph) -> dict[Edge, frozenset[int]]:
     # Every key names a distinct edge of g, so a short count means a gap.
     if len(lists) < len(g.edges):
         u, v = next(e for e in g.edges if e not in lists)
-        raise FormatError(f"no list for edge {u}-{v}")
+        raise FormatError(f"key '{u}-{v}' is missing: no list for edge {u}-{v}")
     return lists
 
 
@@ -185,14 +202,14 @@ def parse_packing(text: str, n: int) -> Packing:
         raise FormatError("packing file needs exactly the keys 'k' and 'colorings'")
     k, rows = data["k"], data["colorings"]
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise FormatError("'k' must be a positive integer")
+        raise FormatError("key 'k': must be a positive integer")
     if not isinstance(rows, list) or len(rows) != k:
-        raise FormatError(f"'colorings' must be an array of {k} arrays")
+        raise FormatError(f"key 'colorings': must be an array of {k} arrays")
     for j, row in enumerate(rows, start=1):
         if not isinstance(row, list) or len(row) != n:
-            raise FormatError(f"coloring {j} must have exactly {n} entries")
+            raise FormatError(f"key 'colorings': coloring {j} must have exactly {n} entries")
         if any(not isinstance(c, int) or isinstance(c, bool) or c < 1 for c in row):
-            raise FormatError(f"coloring {j}: entries must be positive integers")
+            raise FormatError(f"key 'colorings': coloring {j}: entries must be positive integers")
     return Packing(tuple({i + 1: row[i] for i in range(n)} for row in rows))
 
 

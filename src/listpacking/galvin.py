@@ -11,15 +11,12 @@ matching is exactly a kernel of the pool under those preferences, which is
 why an edge loses a color only when a dominating neighbor got colored -- so
 lists of size at least the maximum degree never run dry.
 
-Cost: each edge gets an id, its position in sorted edge order, and is
-oriented into (X-vertex, Y-vertex, base color) in id-indexed lists; each
-X-vertex's preference order is sorted once.  All of that happens once per
-engine run.  The color -> wanting-edge-ids index is built once per run of
-consecutive edges with equal lists (once per X-vertex in `pack_complete`).
-Walking the colors upward, a round forms its pool by list indexing, maps it
-to edges once for the trace and the two round functions, and each of those
-hashes every pool edge once to get its id; deferred acceptance along the
-proposers' fixed orders and the kernel check then run on ints in O(|pool|).
+Cost: once per engine run, each edge gets an id (its place in sorted edge
+order) and is oriented into (X-vertex, Y-vertex, base color) in id-indexed
+lists, each X-vertex's preference order is sorted, and the color -> wanting ids
+index is built once per run of consecutive edges with equal lists.  A round
+forms its pool of ids by list indexing; the round functions take and return
+ids and run in O(|pool|), and the trace decodes ids to edges only when read.
 """
 
 from __future__ import annotations
@@ -57,6 +54,11 @@ class PreferenceSystem:
         return tuple(sorted(self.base.colors))
 
     @cached_property
+    def ids(self) -> frozenset[int]:
+        """Every edge id: a pool is checked against it."""
+        return frozenset(self.index.values())  # reuse index's ints
+
+    @cached_property
     def index(self) -> dict[Edge, int]:
         """Edge -> edge id."""
         return {e: i for i, e in enumerate(self.edges)}
@@ -77,24 +79,28 @@ class PreferenceSystem:
         return {x: tuple(sorted(lst, reverse=True)) for x, lst in order.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundTrace:
+    """One round's color, pool and sorted matching as ids, decoded when read."""
+
     color: int
-    pool: tuple[Edge, ...]
-    matched: tuple[Edge, ...]
+    pool_ids: tuple[int, ...]
+    matched_ids: tuple[int, ...]
+    edges: tuple[Edge, ...] = field(repr=False)
+
+    @property
+    def pool(self) -> tuple[Edge, ...]:
+        return tuple(self.edges[i] for i in self.pool_ids)
+
+    @property
+    def matched(self) -> tuple[Edge, ...]:
+        return tuple(self.edges[i] for i in self.matched_ids)
 
 
 @dataclass
 class GalvinTrace:
     rounds: list[RoundTrace] = field(default_factory=list)
     deletions: dict[Edge, int] = field(default_factory=dict)
-
-
-def _check_bipartition(g: Graph, bip: Bipartition) -> None:
-    if bip.X | bip.Y != frozenset(g.vertices()) or bip.X & bip.Y:
-        raise ValueError("bipartition does not partition the vertex set")
-    for e in g.edges:
-        bip.split_edge(e)  # raises if the edge stays inside one side
 
 
 def edge_color_bipartite(g: Graph, bip: Bipartition) -> EdgeColoring:
@@ -105,7 +111,10 @@ def edge_color_bipartite(g: Graph, bip: Bipartition) -> EdgeColoring:
     inserting edges one at a time and swapping a two-color alternating path
     when the endpoints have no free color in common.
     """
-    _check_bipartition(g, bip)
+    if bip.X | bip.Y != frozenset(g.vertices()) or bip.X & bip.Y:
+        raise ValueError("bipartition does not partition the vertex set")
+    for e in g.edges:
+        bip.split_edge(e)  # raises if the edge stays inside one side
     delta = g.max_degree()
     if len(g.edges) == len(bip.X) * len(bip.Y) and g.edges:
         # 0-based rank of each vertex on its own side.  The form is symmetric
@@ -155,17 +164,22 @@ def _edge_color_augmenting(g: Graph, delta: int) -> EdgeColoring:
     return EdgeColoring(colors, delta)
 
 
-def stable_matching(pool, prefs: PreferenceSystem) -> set[Edge]:
-    """Deferred acceptance on a nonempty set of edges: X-side vertices propose
-    along their pool edges in decreasing base color, a Y-side vertex holds the
-    lowest-color proposal seen so far.
+def _pool_ids(pool, prefs: PreferenceSystem) -> set[int]:
+    ids = set(pool)
+    if not ids <= prefs.ids:
+        raise ValueError(f"pool holds an edge id outside 0..{len(prefs.edges) - 1}")
+    return ids
+
+
+def stable_matching(pool, prefs: PreferenceSystem) -> set[int]:
+    """Deferred acceptance on a nonempty pool of edge ids: X-side vertices
+    propose along their pool edges in decreasing base color, a Y-side vertex
+    holds the lowest-color proposal seen so far.  Returns the matched ids.
 
     The result is a matching M absorbing the rest of the pool: every unmatched
     pool edge xy shares x with a matched edge of higher base color or shares y
-    with a matched edge of lower base color.
-    """
-    index = prefs.index
-    members = {index[e] for e in pool}
+    with a matched edge of lower base color."""
+    members = _pool_ids(pool, prefs)
     if not members:
         raise ValueError("stable matching of an empty edge pool is undefined")
     x_end, order = prefs.oriented[0], prefs.order
@@ -192,18 +206,16 @@ def stable_matching(pool, prefs: PreferenceSystem) -> set[Edge]:
             held[y] = (c, x, i)
         else:
             free.append(x)
-    edges = prefs.edges
-    return {edges[i] for _, _, i in held.values()}
+    return {i for _, _, i in held.values()}
 
 
 def kernel_check(pool, prefs: PreferenceSystem, matching) -> bool:
-    """Test of the stable_matching postcondition in one pass over the pool:
-    the matching lies inside the pool, is vertex-disjoint, and absorbs every
-    other pool edge xy by a matched edge at x of higher base color or a
-    matched edge at y of lower base color."""
-    index = prefs.index
-    pool = {index[e] for e in pool}
-    m = {index.get(e, -1) for e in matching}  # -1: not an edge, so not in the pool
+    """Test of the stable_matching postcondition in one pass over a pool of
+    edge ids: the matching (ids too) lies inside the pool, is vertex-disjoint,
+    and absorbs every other pool edge xy by a matched edge at x of higher base
+    color or a matched edge at y of lower base color."""
+    pool = _pool_ids(pool, prefs)
+    m = set(matching)
     if not m <= pool:
         return False
     x_end, y_end, base_color = prefs.oriented
@@ -224,41 +236,34 @@ def kernel_check(pool, prefs: PreferenceSystem, matching) -> bool:
     return True
 
 
-def list_edge_color(
-    g: Graph, bip: Bipartition, edge_lists: dict[Edge, frozenset[int]]
-) -> EdgeColoring:
+def list_edge_color(g: Graph, bip: Bipartition, edge_lists: EdgeListAssignment) -> EdgeColoring:
     coloring, _ = list_edge_color_trace(g, bip, edge_lists)
     return coloring
 
 
 def list_edge_color_trace(
-    g: Graph, bip: Bipartition, edge_lists: dict[Edge, frozenset[int]]
+    g: Graph, bip: Bipartition, edge_lists: EdgeListAssignment
 ) -> tuple[EdgeColoring, GalvinTrace]:
     """Color every edge from its own list, provided every list has at least
     max-degree many colors.  Returns the coloring plus a per-round trace
     (pool, matching, deletion counters) for auditing.
 
     Each round picks the globally smallest color alpha still wanted, commits
-    a stable matching of the alpha-wanting edges, and deletes alpha from the
-    unmatched ones.  Every matching is re-checked with kernel_check before
-    colors are committed.
-    """
+    a stable matching of the alpha-wanting edges, re-checked by kernel_check,
+    and deletes alpha from the unmatched ones."""
     base = edge_color_bipartite(g, bip)  # checks bip before any list is read
     if set(edge_lists) != set(g.edges):
         raise ValueError("edge list domain does not match the edge set")
     delta = g.max_degree()
     for e, colors in edge_lists.items():
         if len(colors) < delta:
-            raise ValueError(
-                f"list at edge {e} has {len(colors)} colors, need at least {delta}"
-            )
+            raise ValueError(f"list at edge {e} has {len(colors)} colors, need at least {delta}")
     prefs = PreferenceSystem(base, bip)
     edges, index = prefs.edges, prefs.index
     # wanting[c] = the ids of the edges whose lists hold c, ascending.  Each
-    # round empties its own color's bucket, so walking the colors upward
+    # round pops its color's bucket and empties it, so walking the colors upward
     # visits exactly the rounds of "smallest color still wanted".  Ids follow
-    # g.edges, so indexing each run of consecutive edges with equal lists at
-    # once keeps every bucket ascending.
+    # g.edges, so indexing runs of equal consecutive lists keeps buckets sorted.
     wanting: dict[int, list[int]] = {}
     size: list[int] = []  # |L(e)|, the deletions that would run e dry
     for colors, group in groupby(index.items(), key=lambda item: edge_lists[item[0]]):
@@ -270,42 +275,37 @@ def list_edge_color_trace(
     deletions = [0] * len(edges)
     rounds: list[RoundTrace] = []
     for alpha in sorted(wanting):
-        ids = [i for i in wanting[alpha] if color[i] is None]
+        ids = [i for i in wanting.pop(alpha) if color[i] is None]
         if not ids:
             continue
-        pool = [edges[i] for i in ids]
-        matched = stable_matching(pool, prefs)
-        if not kernel_check(pool, prefs, matched):
+        matched = stable_matching(ids, prefs)
+        if not kernel_check(ids, prefs, matched):
             raise RuntimeError("internal error: round matching is not a kernel")
-        for e in matched:
-            color[index[e]] = alpha
+        for i in matched:
+            color[i] = alpha
         for i in ids:
             if color[i] is None:
                 deletions[i] += 1
                 if deletions[i] == size[i]:
                     raise RuntimeError(f"internal error: list at {edges[i]} ran dry")
-        rounds.append(RoundTrace(alpha, tuple(pool), tuple(sorted(matched))))
+        rounds.append(RoundTrace(alpha, tuple(ids), tuple(sorted(matched)), edges))
     if None in color:
         raise RuntimeError("internal error: rounds ended with edges uncolored")
     result = dict(zip(edges, color))
-    problems = verify_edge_coloring(g, result, edge_lists)
-    if problems:
+    if problems := verify_edge_coloring(g, result, edge_lists):
         raise RuntimeError("internal error: " + "; ".join(problems))
     trace = GalvinTrace(rounds, dict(zip(edges, deletions)))
     return EdgeColoring(result, max(color, default=0)), trace
 
 
 def verify_edge_coloring(
-    g: Graph,
-    colors: dict[Edge, int],
-    edge_lists: dict[Edge, frozenset[int]] | None = None,
+    g: Graph, colors: dict[Edge, int], edge_lists: EdgeListAssignment | None = None
 ) -> list[str]:
     """Independent checker: totality, properness at every vertex, and (when
     lists are given) pointwise list membership.  Returns problem strings."""
-    problems = []
     if set(colors) != set(g.edges):
-        problems.append("coloring does not cover the edge set exactly")
-        return problems
+        return ["coloring does not cover the edge set exactly"]
+    problems = []
     for v in g.vertices():
         seen: dict[int, Edge] = {}
         for w in g.neighbors(v):

@@ -128,7 +128,8 @@ def test_criterion_4_galvin_engine_soundness():
         assert verify_edge_coloring(g, ec.colors, lists) == []
         prefs = PreferenceSystem(edge_color_bipartite(g, bip), bip)
         for rnd in trace.rounds:
-            assert kernel_check(set(rnd.pool), prefs, set(rnd.matched))
+            pool = {prefs.index[e] for e in rnd.pool}
+            assert kernel_check(pool, prefs, {prefs.index[e] for e in rnd.matched})
         assert all(d <= delta - 1 for d in trace.deletions.values())
     elapsed = time.monotonic() - start
     assert elapsed < 20.0

@@ -150,18 +150,22 @@ def _prefs(g, bip):
     return PreferenceSystem(edge_color_bipartite(g, bip), bip)
 
 
+def _ids(prefs, edges):
+    return {prefs.index[e] for e in edges}
+
+
 def test_stable_matching_single_proposer_takes_best():
     g, bip = complete_bipartite(1, 3)
     prefs = _prefs(g, bip)
     pool = list(g.edges)
     best = max(pool, key=prefs.color)
-    assert stable_matching(pool, prefs) == {best}
+    assert stable_matching(_ids(prefs, pool), prefs) == _ids(prefs, [best])
 
 
 def test_stable_matching_singleton_pool():
     g, bip = complete_bipartite(2, 2)
     prefs = _prefs(g, bip)
-    assert stable_matching([(1, 3)], prefs) == {(1, 3)}
+    assert stable_matching([prefs.index[(1, 3)]], prefs) == {prefs.index[(1, 3)]}
     with pytest.raises(ValueError):
         stable_matching([], prefs)
 
@@ -169,11 +173,11 @@ def test_stable_matching_singleton_pool():
 def test_stable_matching_on_k22_is_a_brute_force_kernel():
     g, bip = complete_bipartite(2, 2)
     prefs = _prefs(g, bip)
-    pool = list(g.edges)
+    pool = _ids(prefs, g.edges)
     matched = stable_matching(pool, prefs)
     kernels = []
     for r in range(len(pool) + 1):
-        for subset in combinations(pool, r):
+        for subset in combinations(sorted(pool), r):
             if kernel_check(pool, prefs, set(subset)):
                 kernels.append(set(subset))
     assert kernels, "brute force found no kernel at all"
@@ -190,6 +194,7 @@ def test_stable_matching_is_always_a_kernel():
             continue
         pool = [e for e in g.edges if rng.random() < 0.7] or [g.edges[0]]
         prefs = _prefs(g, bip)
+        pool = _ids(prefs, pool)
         matched = stable_matching(pool, prefs)
         assert kernel_check(pool, prefs, matched)
         trials += 1
@@ -198,9 +203,9 @@ def test_stable_matching_is_always_a_kernel():
 def test_kernel_check_rejects_bad_sets():
     g, bip = complete_bipartite(2, 2)
     prefs = _prefs(g, bip)
-    pool = set(g.edges)
+    pool = _ids(prefs, g.edges)
     assert not kernel_check(pool, prefs, set())
-    assert not kernel_check(pool, prefs, {(1, 3), (1, 4)})  # shares vertex 1
+    assert not kernel_check(pool, prefs, _ids(prefs, [(1, 3), (1, 4)]))  # shares vertex 1
 
 
 def test_list_edge_color_identical_lists_specializes():
@@ -272,7 +277,11 @@ def test_trace_invariants_on_random_instances():
         assert verify_edge_coloring(g, ec.colors, lists) == []
         for rnd in trace.rounds:
             assert rnd.matched, "a round committed no edges"
-            assert kernel_check(set(rnd.pool), prefs, set(rnd.matched))
+            # Kept as id tuples, the matching sorted, and decoded when read.
+            assert type(rnd.pool_ids) is tuple and type(rnd.matched_ids) is tuple
+            assert list(rnd.matched_ids) == sorted(rnd.matched_ids)
+            assert rnd.pool == tuple(prefs.edges[i] for i in rnd.pool_ids)
+            assert kernel_check(_ids(prefs, rnd.pool), prefs, _ids(prefs, rnd.matched))
         assert all(d <= delta - 1 for d in trace.deletions.values())
 
 
@@ -291,33 +300,56 @@ def test_kernel_check_rejects_one_unabsorbed_pool_edge():
     # color at x=1, which does not absorb on the X side.
     g, bip = complete_bipartite(2, 2)
     prefs = _prefs(g, bip)
-    assert not kernel_check({(1, 3), (1, 4), (2, 3)}, prefs, {(1, 3)})
+    assert not kernel_check(_ids(prefs, [(1, 3), (1, 4), (2, 3)]), prefs, _ids(prefs, [(1, 3)]))
     # (1,3) meets only a HIGHER matched color at y=3: no absorption there.
-    assert not kernel_check({(1, 3), (2, 3)}, prefs, {(2, 3)})
+    assert not kernel_check(_ids(prefs, [(1, 3), (2, 3)]), prefs, _ids(prefs, [(2, 3)]))
 
 
 def test_kernel_check_rejects_a_matching_that_shares_a_y_vertex():
     # Nothing is left to absorb, so only vertex-disjointness can reject it.
     g, bip = complete_bipartite(2, 2)
     prefs = _prefs(g, bip)
-    assert not kernel_check({(1, 3), (2, 3)}, prefs, {(1, 3), (2, 3)})
-    assert not kernel_check({(1, 3), (1, 4)}, prefs, {(1, 3), (1, 4)})
+    assert not kernel_check(_ids(prefs, [(1, 3), (2, 3)]), prefs, _ids(prefs, [(1, 3), (2, 3)]))
+    assert not kernel_check(_ids(prefs, [(1, 3), (1, 4)]), prefs, _ids(prefs, [(1, 3), (1, 4)]))
 
 
 def test_kernel_check_rejects_matched_edge_outside_pool():
     g, bip = complete_bipartite(2, 2)
     prefs = _prefs(g, bip)
     # A disjoint matching that absorbs (1,3) at x=1, but (2,3) is not in the pool.
-    assert not kernel_check({(1, 3), (1, 4)}, prefs, {(1, 4), (2, 3)})
+    assert not kernel_check(_ids(prefs, [(1, 3), (1, 4)]), prefs, _ids(prefs, [(1, 4), (2, 3)]))
+
+
+def test_round_functions_reject_out_of_range_pool_ids():
+    # A negative id would silently index from the end of the id tables.
+    g, bip = complete_bipartite(2, 2)
+    prefs = _prefs(g, bip)
+    pool = _ids(prefs, g.edges)
+    for bad in (-1, len(prefs.edges)):
+        with pytest.raises(ValueError, match="outside"):
+            stable_matching(pool | {bad}, prefs)
+        with pytest.raises(ValueError, match="outside"):
+            kernel_check(pool | {bad}, prefs, stable_matching(pool, prefs))
+
+
+def test_kernel_check_rejects_out_of_range_matching_ids():
+    # Not in the pool, so not a kernel, whatever the id.
+    g, bip = complete_bipartite(2, 2)
+    prefs = _prefs(g, bip)
+    pool = _ids(prefs, g.edges)
+    matched = stable_matching(pool, prefs)
+    assert kernel_check(pool, prefs, matched)
+    for bad in (-1, len(prefs.edges)):
+        assert not kernel_check(pool, prefs, matched | {bad})
 
 
 def test_kernel_check_accepts_absorption_at_one_end_only():
     g, bip = complete_bipartite(2, 2)
     prefs = _prefs(g, bip)
     # X end only: (1,3) meets the higher (1,4) at x=1, nothing at y=3.
-    assert kernel_check({(1, 3), (1, 4)}, prefs, {(1, 4)})
+    assert kernel_check(_ids(prefs, [(1, 3), (1, 4)]), prefs, _ids(prefs, [(1, 4)]))
     # Y end only: (2,3) meets the lower (1,3) at y=3, nothing at x=2.
-    assert kernel_check({(1, 3), (2, 3)}, prefs, {(1, 3)})
+    assert kernel_check(_ids(prefs, [(1, 3), (2, 3)]), prefs, _ids(prefs, [(1, 3)]))
 
 
 def _digest(obj) -> str:
@@ -433,4 +465,22 @@ def test_random_bipartite_engine_outputs_match_pinned_digest():
         runs.append((rounds, sorted(trace.deletions.items()), sorted(ec.colors.items())))
     assert _digest(runs) == (
         "b151e18af8cc44bf07cab09dcc992576d1ec6a372bd04a3e43874fe3e954018f"
+    )
+
+
+def test_pack_complete_rows_match_pinned_digest():
+    # The benchmark's shape: m-assignments of K_48 with m = 48, lists from 50
+    # and from 48^2 colors, two seeds each.  Recorded on the edge-pool engine.
+    n = 48
+    runs = []
+    for palette in (n + 2, n * n):
+        for seed in (1, 2):
+            rng = random.Random(seed)
+            lists = ListAssignment(
+                {v: frozenset(rng.sample(range(1, palette + 1), n)) for v in range(1, n + 1)}
+            )
+            packing = pack_complete(PackRequest(n, lists, n))
+            runs.append([sorted(row.items()) for row in packing.rows])
+    assert _digest(runs) == (
+        "cf728d0af1f342515d4ae7b626e2cc451bb77653912c68f051179cb797a36328"
     )
