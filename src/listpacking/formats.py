@@ -19,12 +19,15 @@ class FormatError(ValueError):
 
 def parse_graph(text: str) -> Graph:
     """DIMACS-style: optional `c` comment lines, one `p edge <n> <e>` line,
-    then `e <u> <v>` lines with 1-based vertex ids."""
+    then `e <u> <v>` lines with 1-based vertex ids, all numbers in canonical
+    decimal form.  Lines end at "\n" alone, as the JSON messages count them."""
     n: int | None = None
     declared_edges = problem_line = 0
     edges: list[Edge] = []
     seen: set[Edge] = set()
-    lines = text.splitlines()
+    lines = text.split("\n")
+    if not lines[-1]:  # a final newline ends the last line, it starts none
+        lines.pop()
     for num, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -38,11 +41,9 @@ def parse_graph(text: str) -> Graph:
             if len(fields) != 4 or fields[1] != "edge":
                 raise FormatError(f"line {num}: expected 'p edge <n> <e>'")
             try:
-                n, declared_edges = int(fields[2]), int(fields[3])
-            except ValueError:
-                raise FormatError(f"line {num}: non-integer counts") from None
-            if n < 0 or declared_edges < 0:
-                raise FormatError(f"line {num}: negative counts")
+                n, declared_edges = _natural(fields[2]), _natural(fields[3])
+            except ValueError as exc:
+                raise FormatError(f"line {num}: count {exc}") from None
             problem_line = num
         elif fields[0] == "e":
             if n is None:
@@ -50,9 +51,9 @@ def parse_graph(text: str) -> Graph:
             if len(fields) != 3:
                 raise FormatError(f"line {num}: expected 'e <u> <v>'")
             try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise FormatError(f"line {num}: non-integer endpoints") from None
+                u, v = _natural(fields[1]), _natural(fields[2])
+            except ValueError as exc:
+                raise FormatError(f"line {num}: endpoint {exc}") from None
             if u == v:
                 raise FormatError(f"line {num}: loop edge ({u},{v}) rejected")
             if not (1 <= u <= n and 1 <= v <= n):
@@ -122,17 +123,26 @@ def _check_color_array(key: str, value: object) -> frozenset[int]:
     return frozenset(value)
 
 
-def _vertex_id(text: str, key: str) -> int:
-    """Read `text`, part or all of `key`, as a vertex id.  Only the canonical
-    decimal form is accepted -- ASCII digits, no leading zero -- so that no
-    two keys name the same vertex; int() alone would also take a sign,
-    whitespace, `_` separators and leading zeros."""
+def _natural(text: str) -> int:
+    """Read `text` as a natural number.  Only the canonical decimal form is
+    accepted -- ASCII digits, no leading zero -- so that each number has one
+    spelling; int() alone would also take a sign, whitespace, `_` separators,
+    leading zeros and non-ASCII digits.  The ValueError says what is wrong."""
     if not (text.isascii() and text.isdigit()) or (text[0] == "0" and text != "0"):
-        raise FormatError(f"key {key!r}: {text!r} is not a vertex id in canonical decimal form")
+        raise ValueError(f"{text!r} is not in canonical decimal form")
     try:
         return int(text)
     except ValueError:  # more digits than int() converts
-        raise FormatError(f"key {key!r}: vertex id too long") from None
+        raise ValueError("has too many digits") from None
+
+
+def _vertex_id(text: str, key: str) -> int:
+    """Read `text`, part or all of `key`, as a vertex id, so that no two keys
+    name the same vertex."""
+    try:
+        return _natural(text)
+    except ValueError as exc:
+        raise FormatError(f"key {key!r}: vertex id {exc}") from None
 
 
 def parse_vertex_lists(text: str, g: Graph) -> ListAssignment:

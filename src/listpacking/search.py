@@ -1,6 +1,7 @@
-"""Exhaustive oracles for tiny graphs: backtracking list coloring and list
-packing, canonical enumeration of k-assignments up to color renaming, and
-exact chromatic / list-chromatic / list-packing numbers with certificates.
+"""Exhaustive oracles for tiny graphs: backtracking list packing, canonical
+enumeration of k-assignments up to color renaming, and exact chromatic /
+list-chromatic / list-packing numbers with certificates.  A list coloring is
+a packing of size 1, so one backtracker serves both.
 
 Everything here is deliberately dumb and deterministic: fixed vertex order,
 sorted color order, no heuristics.  "absent" always means a completed search;
@@ -121,61 +122,17 @@ def solve_list_coloring(
 
 
 def _solve_list_coloring(g: Graph, ell: ListAssignment, ticker: _Ticker) -> SearchResult:
-    """solve_list_coloring on a given ticker; `nodes` is the ticker's total."""
+    """solve_list_coloring on a given ticker, as the packing search at k = 1
+    (a list coloring is a packing of size 1); `nodes` is the ticker's total."""
+    _require_domains(g, ell)
     try:
-        f = _color_search(g, ell, ticker)
+        rows = _packing_search(g, *_rank_colors(g, ell), 1, ticker)
     except _BudgetHit:
         return SearchResult(EXHAUSTED, nodes=ticker.nodes)
-    if f is None:
+    if rows is None:
         return SearchResult(ABSENT, nodes=ticker.nodes)
-    assert is_proper_coloring(g, ell, f).ok
-    return SearchResult(FOUND, witness=f, nodes=ticker.nodes)
-
-
-def _color_search(g: Graph, ell: ListAssignment, ticker: _Ticker) -> Coloring | None:
-    _require_domains(g, ell)
-    domains: dict[int, set[int]] = {v: set(ell[v]) for v in g.vertices()}
-    assignment: Coloring = {}
-    if g.n == 0:
-        return {}
-    # Depth-first over vertices 1..n with an explicit stack: per vertex, the
-    # colors it tries (its domain on arrival), the next one to try, and the
-    # neighbors its current color was pruned from.
-    options: list[list[int]] = [[] for _ in range(g.n + 1)]
-    pos = [0] * (g.n + 1)
-    pruned: list[list[int]] = [[] for _ in range(g.n + 1)]
-    v = 1
-    options[v] = sorted(domains[v])
-    while True:
-        if v in assignment:  # the current color failed: take it back
-            c = assignment.pop(v)
-            for w in pruned[v]:
-                domains[w].add(c)
-        if pos[v] == len(options[v]):
-            v -= 1
-            if v == 0:
-                return None
-            continue
-        c = options[v][pos[v]]
-        pos[v] += 1
-        ticker.spend()
-        assignment[v] = c
-        pruned[v] = []
-        wiped = False
-        for w in g.neighbors(v):
-            if w not in assignment and c in domains[w]:
-                domains[w].discard(c)
-                pruned[v].append(w)
-                if not domains[w]:
-                    wiped = True
-                    break
-        if wiped:
-            continue
-        if v == g.n:
-            return dict(assignment)
-        v += 1
-        options[v] = sorted(domains[v])
-        pos[v] = 0
+    assert is_proper_coloring(g, ell, rows[0]).ok
+    return SearchResult(FOUND, witness=rows[0], nodes=ticker.nodes)
 
 
 def solve_packing(
@@ -185,8 +142,8 @@ def solve_packing(
     ordered k-tuple of distinct colors from its list, adjacent vertices must
     differ in every coordinate.
 
-    A packing's first row is already a proper list coloring, so a
-    certified-absent single-coloring search settles the question up front;
+    A packing's first row is already a proper list coloring, so the same
+    search at k = 1, if it comes back absent, settles the question up front;
     that shortcut is what keeps clique instances with identical lists fast.
     """
     if k < 1:
@@ -200,11 +157,11 @@ def solve_packing(
 def _solve_packing(g: Graph, ell: ListAssignment, k: int, ticker: _Ticker) -> SearchResult:
     """solve_packing on a given ticker, lists already checked; `nodes` is
     the ticker's total."""
+    colors, ranks = _rank_colors(g, ell)
     try:
-        single = _color_search(g, ell, ticker)
-        if single is None:
+        if _packing_search(g, colors, ranks, 1, ticker) is None:
             return SearchResult(ABSENT, nodes=ticker.nodes)
-        rows = _packing_search(g, ell, k, ticker)
+        rows = _packing_search(g, colors, ranks, k, ticker)
     except _BudgetHit:
         return SearchResult(EXHAUSTED, nodes=ticker.nodes)
     if rows is None:
@@ -224,37 +181,42 @@ def _tuple_masks(ranks: tuple[int, ...], k: int) -> tuple[int, ...]:
     )
 
 
-def _packing_search(
-    g: Graph, ell: ListAssignment, k: int, ticker: _Ticker
-) -> tuple[Coloring, ...] | None:
-    """Forward-checking search over ordered k-tuples.  A tuple is a bitmask
-    of its (coordinate, color) pairs, colors numbered by rank among the
-    instance's colors so masks stay k*|colors| bits wide whatever the color
-    values; two tuples may sit on adjacent vertices exactly when their masks
-    are disjoint."""
-    if g.n == 0:
-        return tuple({} for _ in range(k))
+def _rank_colors(g: Graph, ell: ListAssignment) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The instance's colors in sorted order, and each vertex's list, in
+    vertex order, as the sorted ranks of its colors among them."""
     lists = [ell[v] for v in g.vertices()]
     colors = sorted(set().union(*lists))
     rank = {c: r for r, c in enumerate(colors)}
-    domains: dict[int, Sequence[int]] = {
-        v: _tuple_masks(tuple(sorted(map(rank.__getitem__, cs))), k)
-        for v, cs in enumerate(lists, start=1)
-    }
-    chosen: dict[int, int] = {}
-    # Depth-first with an explicit stack, as in _color_search: per vertex,
-    # its domain on arrival, the next tuple to try, and the neighbor domains
-    # its current tuple replaced.
+    return colors, [tuple(sorted(map(rank.__getitem__, cs))) for cs in lists]
+
+
+def _packing_search(
+    g: Graph, colors: list[int], ranks: list[tuple[int, ...]], k: int, ticker: _Ticker
+) -> tuple[Coloring, ...] | None:
+    """Forward-checking search over ordered k-tuples, on the lists as
+    `_rank_colors` numbers them.  A tuple is a bitmask of its (coordinate,
+    color) pairs, colors numbered by rank so masks stay k*|colors| bits wide
+    whatever the color values; two tuples may sit on adjacent vertices
+    exactly when their masks are disjoint.  Masks are never 0, so 0 in
+    `chosen` marks a vertex without a tuple."""
+    if g.n == 0:
+        return tuple({} for _ in range(k))
+    domains: list[Sequence[int]] = [()] + [_tuple_masks(r, k) for r in ranks]
+    chosen = [0] * (g.n + 1)
+    # Depth-first with an explicit stack: per vertex, its domain on arrival,
+    # the next tuple to try, and the neighbor domains its current tuple
+    # replaced.  Vertices go in order 1..n, so at vertex v exactly 1..v
+    # hold tuples and the unplaced neighbors are those above v.
     options: list[Sequence[int]] = [() for _ in range(g.n + 1)]
     pos = [0] * (g.n + 1)
     saved: list[list[tuple[int, Sequence[int]]]] = [[] for _ in range(g.n + 1)]
     v = 1
     options[v] = domains[v]
     while True:
-        if v in chosen:  # the current tuple failed: take it back
+        if chosen[v]:  # the current tuple failed: take it back
             for w, old in saved[v]:
                 domains[w] = old
-            del chosen[v]
+            chosen[v] = 0
         if pos[v] == len(options[v]):
             v -= 1
             if v == 0:
@@ -267,7 +229,7 @@ def _packing_search(
         saved[v] = []
         wiped = False
         for w in g.neighbors(v):
-            if w not in chosen:
+            if w > v:
                 kept = [q for q in domains[w] if not p & q]
                 saved[v].append((w, domains[w]))
                 domains[w] = kept
@@ -500,10 +462,13 @@ MAX_CHI_VERTICES = 20
 
 
 def chromatic_number(g: Graph, budget: SearchBudget | None = None) -> int:
-    """Least t admitting a proper coloring from constant lists 1..t.  The
-    budget bounds all the searches together."""
+    """Least t admitting a proper coloring from constant lists 1..t, so 0
+    on the graph without vertices.  The budget bounds all the searches
+    together."""
     if g.n > MAX_CHI_VERTICES:
         raise ValueError(f"graph too large for exact search: {g.n} vertices")
+    if g.n == 0:
+        return 0
     ticker = _Ticker(budget or SearchBudget())
     for t in range(1, g.n + 1):
         ell = ListAssignment({v: frozenset(range(1, t + 1)) for v in g.vertices()})

@@ -94,6 +94,23 @@ def test_parse_edge_lists_roundtrip_and_errors():
         parse_edge_lists('{"1-3": [1]}', g)
 
 
+@pytest.mark.parametrize("numeral", ["+1", "01", "1_0", "\u0662"])
+@pytest.mark.parametrize(
+    "template, line",
+    [("p edge {} 0\n", 1), ("p edge 2 {}\ne 1 2\n", 1), ("p edge 2 1\ne {} 2\n", 2)],
+)
+def test_parse_graph_rejects_non_canonical_numbers(template, line, numeral):
+    # int() reads each of these, so "e 1 1_0" used to be the edge (1, 10).
+    with pytest.raises(FormatError, match=f"line {line}: .*canonical decimal"):
+        parse_graph(template.format(numeral))
+
+
+def test_parse_graph_counts_lines_at_newlines_only():
+    # str.splitlines() also breaks at "\x0c", which split this comment in two.
+    with pytest.raises(FormatError, match="line 3: endpoint out of range"):
+        parse_graph("c a\x0cb\np edge 2 1\ne 1 3\n")
+
+
 @pytest.mark.parametrize("key", ["01", "+1", "-1", " 1", "1 ", "1_0", "\u0661", ""])
 def test_parse_vertex_lists_rejects_non_canonical_keys(key):
     # int() reads each of these as a vertex id, so "01" next to "1" used to
@@ -214,6 +231,21 @@ def test_chi_commands(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "STATUS=negative VALUE="
     data = json.loads((tmp_path / "cert2.json").read_text())
     assert data["bound"] == 2 and data["bad_assignment"] is not None
+
+
+def test_graph_commands_on_the_empty_graph(tmp_path, capsys):
+    graph = write(tmp_path, "empty.col", "p edge 0 0\n")
+    assert main(["chi", "--graph", graph]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "STATUS=ok VALUE=0"
+    for command in ("chi-list", "chi-star"):
+        assert main([command, "--graph", graph, "--max-k", "4"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "STATUS=ok VALUE=1"
+
+    lists = write(tmp_path, "empty.json", "{}")
+    out = tmp_path / "p.json"
+    assert main(["solve", "--graph", graph, "--lists", lists, "--size", "2", "-o", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "STATUS=ok VALUE=2"
+    assert json.loads(out.read_text()) == {"k": 2, "colorings": [[], []]}
 
 
 def test_chi_star_node_budget_bounds_the_whole_scan(tmp_path, capsys):

@@ -1,15 +1,15 @@
-"""Property-based tests: the packing search against the lift route on
-small random graphs and lists, and the constructive packer against the
-independent packing checker."""
+"""Property-based tests: the list coloring search against brute force, the
+packing search against the lift route on small random graphs and lists, and
+the constructive packer against the independent packing checker."""
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from listpacking import (  # noqa: E402
     ABSENT,
@@ -20,11 +20,50 @@ from listpacking import (  # noqa: E402
     PackRequest,
     SearchBudget,
     complete_graph,
+    is_proper_coloring,
     is_proper_packing,
     pack_complete,
+    solve_list_coloring,
     solve_packing,
     solve_packing_via_lift,
 )
+
+
+def draw_graph(draw, n: int) -> Graph:
+    """A graph on vertices 1..n, each possible edge kept or not."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, kept in zip(pairs, keep) if kept])
+
+
+@st.composite
+def coloring_instances(draw):
+    """A graph on at most 6 vertices and lists of 1 to 3 colors drawn from
+    at most 5 colors spaced `stride` apart."""
+    n = draw(st.integers(1, 6))
+    g = draw_graph(draw, n)
+    palette = draw(st.integers(1, 5))
+    stride = draw(st.sampled_from((1, 7, 1000)))
+    one_list = st.sets(st.integers(1, palette), min_size=1, max_size=min(3, palette))
+    lists = {v: frozenset(c * stride for c in draw(one_list)) for v in range(1, n + 1)}
+    return g, ListAssignment(lists)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(coloring_instances())
+@example((Graph.from_edges(0, []), ListAssignment({})))
+def test_solve_list_coloring_agrees_with_brute_force(instance):
+    # Independent of the package's search: try every choice from the lists.
+    g, ell = instance
+    colorable = any(
+        all(choice[u - 1] != choice[v - 1] for u, v in g.edges)
+        for choice in product(*(sorted(ell[v]) for v in g.vertices()))
+    )
+    result = solve_list_coloring(g, ell)
+    assert result.status == (FOUND if colorable else ABSENT)
+    if result.status == FOUND:
+        assert type(result.witness) is dict
+        assert is_proper_coloring(g, ell, result.witness).ok
 
 
 @st.composite
@@ -34,14 +73,12 @@ def packing_instances(draw):
     than k."""
     n = draw(st.integers(1, 5))
     k = draw(st.integers(1, 3))
-    pairs = list(combinations(range(1, n + 1), 2))
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    edges = [e for e, kept in zip(pairs, keep) if kept]
+    g = draw_graph(draw, n)
     palette = draw(st.integers(k, k + 3))
     stride = draw(st.sampled_from((1, 7, 1000)))
     one_list = st.sets(st.integers(1, palette), min_size=k, max_size=min(k + 1, palette))
     lists = {v: frozenset(c * stride for c in draw(one_list)) for v in range(1, n + 1)}
-    return Graph.from_edges(n, edges), ListAssignment(lists), k
+    return g, ListAssignment(lists), k
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -1,0 +1,31 @@
+"""The package stays pure stdlib: every module imports only the standard
+library or, relatively, its own modules."""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "listpacking"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def test_the_package_modules_are_found():
+    assert PACKAGE / "__init__.py" in MODULES and PACKAGE / "search.py" in MODULES
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_module_imports_only_the_standard_library_or_relatively(path):
+    outside = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        outside += [name for name in names if name.split(".")[0] not in sys.stdlib_module_names]
+    assert not outside, f"{path.name} imports {outside}"
