@@ -91,11 +91,14 @@ def _require_domains(g: Graph, ell: ListAssignment, f: Coloring | None = None) -
 
 def _row_violations(g: Graph, ell: ListAssignment, f: Coloring, indices: tuple[int, ...] = ()):
     """List membership at every vertex, then properness at every edge, of a
-    coloring whose domains are already checked."""
+    coloring whose domains are already checked.  An injective coloring has
+    no improper edge, so its edges are not read."""
     lists = ell.lists
     for v in g.vertices():
         if f[v] not in lists[v]:
             yield Violation(NOT_IN_LIST, (v,), indices)
+    if len(set(f.values())) == len(f):
+        return
     for u, v in g.edges:
         if f[u] == f[v]:
             yield Violation(NOT_PROPER, (u, v), indices)

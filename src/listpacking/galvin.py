@@ -12,19 +12,21 @@ why an edge loses a color only when a dominating neighbor got colored -- so
 lists of size at least the maximum degree never run dry.
 
 Cost: once per engine run, each edge gets an id (its place in sorted edge
-order) and is oriented into (X-vertex, Y-vertex, base color) in id-indexed
-lists, each X-vertex's preference order is sorted, and the color -> wanting ids
-index is built once per run of consecutive edges with equal lists.  A round
-forms its pool of ids by list indexing; the round functions take and return
-ids and run in O(|pool|), and the trace decodes ids to edges only when read.
+order), is oriented into (X-vertex, Y-vertex, base color) in id-indexed lists,
+and each X-vertex's preference order is sorted.  The color index holds runs of
+consecutive ids with one first endpoint and one list, each keeping a live list
+of its uncolored ids, so a round's pool is its color's live runs joined.  The
+round functions take ids and run in O(|pool|); deletions are read off the final
+coloring, and the trace decodes ids to edges only when read.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
+from itertools import chain, groupby
 
 from .graphs import Bipartition, Edge, Graph
 
@@ -44,9 +46,6 @@ class PreferenceSystem:
 
     base: EdgeColoring
     bipartition: Bipartition
-
-    def color(self, e: Edge) -> int:
-        return self.base.colors[e]
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -246,7 +245,7 @@ def list_edge_color_trace(
 ) -> tuple[EdgeColoring, GalvinTrace]:
     """Color every edge from its own list, provided every list has at least
     max-degree many colors.  Returns the coloring plus a per-round trace
-    (pool, matching, deletion counters) for auditing.
+    (pool, matching) and each edge's deletion count for auditing.
 
     Each round picks the globally smallest color alpha still wanted, commits
     a stable matching of the alpha-wanting edges, re-checked by kernel_check,
@@ -260,37 +259,37 @@ def list_edge_color_trace(
             raise ValueError(f"list at edge {e} has {len(colors)} colors, need at least {delta}")
     prefs = PreferenceSystem(base, bip)
     edges, index = prefs.edges, prefs.index
-    # wanting[c] = the ids of the edges whose lists hold c, ascending.  Each
-    # round pops its color's bucket and empties it, so walking the colors upward
-    # visits exactly the rounds of "smallest color still wanted".  Ids follow
-    # g.edges, so indexing runs of equal consecutive lists keeps buckets sorted.
-    wanting: dict[int, list[int]] = {}
-    size: list[int] = []  # |L(e)|, the deletions that would run e dry
-    for colors, group in groupby(index.items(), key=lambda item: edge_lists[item[0]]):
-        run = [i for _, i in group]  # index's ints: one object per id
+    # Runs: blocks of consecutive ids with one first endpoint and one list.
+    # wanting[c] = the runs whose list holds c, ascending, so joining each
+    # color's live runs, colors upward, gives the rounds' sorted pools.  A
+    # vertex-disjoint matching takes at most one id of a run per round.
+    runs: list[tuple[range, list[int]]] = []  # (ids, sorted list)
+    live_of: list[list[int]] = []  # id -> its run's live list
+    wanting: dict[int, list[list[int]]] = {}
+    for (_, colors), group in groupby(index.items(), lambda kv: (kv[0][0], edge_lists[kv[0]])):
+        live = [i for _, i in group]  # index's ints: one object per id
+        runs.append((range(live[0], live[-1] + 1), sorted(colors)))
+        live_of += [live] * len(live)
         for c in colors:
-            wanting.setdefault(c, []).extend(run)
-        size += [len(colors)] * len(run)
+            wanting.setdefault(c, []).append(live)
     color: list[int | None] = [None] * len(edges)
-    deletions = [0] * len(edges)
     rounds: list[RoundTrace] = []
     for alpha in sorted(wanting):
-        ids = [i for i in wanting.pop(alpha) if color[i] is None]
-        if not ids:
+        pool = tuple(chain.from_iterable(wanting.pop(alpha)))
+        if not pool:
             continue
-        matched = stable_matching(ids, prefs)
-        if not kernel_check(ids, prefs, matched):
+        matched = stable_matching(pool, prefs)
+        if not kernel_check(pool, prefs, matched):
             raise RuntimeError("internal error: round matching is not a kernel")
         for i in matched:
             color[i] = alpha
-        for i in ids:
-            if color[i] is None:
-                deletions[i] += 1
-                if deletions[i] == size[i]:
-                    raise RuntimeError(f"internal error: list at {edges[i]} ran dry")
-        rounds.append(RoundTrace(alpha, tuple(ids), tuple(sorted(matched)), edges))
+            live_of[i].remove(i)
+        rounds.append(RoundTrace(alpha, pool, tuple(sorted(matched)), edges))
     if None in color:
-        raise RuntimeError("internal error: rounds ended with edges uncolored")
+        e = edges[color.index(None)]
+        raise RuntimeError(f"internal error: list at {e} ran dry: {len(edge_lists[e])} colors")
+    # An edge is in the pool, and unmatched, at each color of its list below its own.
+    deletions = [bisect_left(ranked, color[i]) for ids, ranked in runs for i in ids]
     result = dict(zip(edges, color))
     if problems := verify_edge_coloring(g, result, edge_lists):
         raise RuntimeError("internal error: " + "; ".join(problems))

@@ -49,7 +49,8 @@ class SearchBudget:
     time_limit: float = 60.0  # seconds
 
     def __post_init__(self):
-        if self.node_limit < 1 or self.time_limit <= 0:
+        # Negated, so that nan fails too; inf passes and means "no bound".
+        if not self.node_limit >= 1 or not self.time_limit > 0:
             raise ValueError("budget limits must be positive")
 
 
@@ -118,6 +119,8 @@ def solve_list_coloring(
 ) -> SearchResult:
     """Backtracking search for a proper list coloring, vertices in input
     order, colors in sorted order, forward checking on neighbor domains."""
+    if not all(ell.lists.values()):
+        raise ValueError("every list needs at least k=1 colors")
     return _solve_list_coloring(g, ell, _Ticker(budget or SearchBudget()))
 
 

@@ -254,6 +254,14 @@ def test_chi_star_node_budget_bounds_the_whole_scan(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "STATUS=exhausted VALUE="
 
 
+def test_chi_star_rejects_a_nan_time_budget(tmp_path, capsys):
+    k4 = write(tmp_path, "k4.col", format_graph(complete_graph(4)))
+    assert main(["chi-star", "--graph", k4, "--max-k", "4", "--budget-seconds", "nan"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "STATUS=error VALUE="
+    assert "budget limits must be positive" in captured.err
+
+
 def test_chi_star_k4_certificate_is_unchanged(tmp_path, capsys):
     # Written by the scan that ran a cold search on every assignment.
     pinned = Path(__file__).parent / "data" / "k4_chi_star_max_k4.json"

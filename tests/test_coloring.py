@@ -8,8 +8,10 @@ from listpacking import (
     NOT_DISJOINT,
     NOT_IN_LIST,
     NOT_PROPER,
+    Graph,
     ListAssignment,
     Packing,
+    Violation,
     complete_graph,
     extract_packing,
     is_proper_coloring,
@@ -100,6 +102,47 @@ def test_column_injectivity_matches_naive_double_loop():
             v.kind == NOT_DISJOINT for v in report.violations
         )
         assert naive_disjoint == (not has_disjoint_violation)
+
+
+def _brute_row_violations(g, ell, f, indices):
+    off_list = [v for v in g.vertices() if f[v] not in ell[v]]
+    improper = [(u, v) for u, v in g.edges if f[u] == f[v]]
+    return [Violation(NOT_IN_LIST, (v,), indices) for v in off_list] + [
+        Violation(NOT_PROPER, e, indices) for e in improper
+    ]
+
+
+def test_injective_row_still_reports_an_off_list_color():
+    # No two vertices share a color, so the edge loop is skipped; the list
+    # check must still run.
+    k3 = complete_graph(3)
+    ell = const_lists(k3, {1, 2, 3})
+    report = is_proper_packing(k3, ell, Packing(({1: 1, 2: 2, 3: 7}, {1: 2, 2: 3, 3: 1})))
+    assert report.violations == (Violation(NOT_IN_LIST, (3,), (1,)),)
+    assert is_proper_coloring(k3, ell, {1: 4, 2: 2, 3: 3}).violations == (
+        Violation(NOT_IN_LIST, (1,), ()),
+    )
+
+
+def test_row_violations_match_a_brute_force_in_order():
+    rng = random.Random(11)
+    edges = [(u, v) for u in range(1, 7) for v in range(u + 1, 7) if rng.random() < 0.6]
+    g = Graph.from_edges(6, edges)
+    ell = ListAssignment({v: frozenset(rng.sample(range(1, 7), 3)) for v in g.vertices()})
+    seen_improper = seen_injective = 0
+    for _ in range(300):
+        row = {v: rng.randint(1, 7) for v in g.vertices()}
+        expected = _brute_row_violations(g, ell, row, ())
+        assert is_proper_coloring(g, ell, row).violations == tuple(expected)
+        seen_improper += any(x.kind == NOT_PROPER for x in expected)
+        seen_injective += len(set(row.values())) == len(row)
+    assert seen_improper and seen_injective
+    rows = tuple({v: rng.randint(1, 7) for v in g.vertices()} for _ in range(3))
+    expected = [
+        x for i, row in enumerate(rows, start=1) for x in _brute_row_violations(g, ell, row, (i,))
+    ]
+    report = is_proper_packing(g, ell, Packing(rows))
+    assert [x for x in report.violations if x.kind != NOT_DISJOINT] == expected
 
 
 def test_lift_lists_shapes():

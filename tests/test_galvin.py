@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -158,7 +159,7 @@ def test_stable_matching_single_proposer_takes_best():
     g, bip = complete_bipartite(1, 3)
     prefs = _prefs(g, bip)
     pool = list(g.edges)
-    best = max(pool, key=prefs.color)
+    best = max(pool, key=prefs.base.colors.__getitem__)
     assert stable_matching(_ids(prefs, pool), prefs) == _ids(prefs, [best])
 
 
@@ -466,6 +467,35 @@ def test_random_bipartite_engine_outputs_match_pinned_digest():
     assert _digest(runs) == (
         "b151e18af8cc44bf07cab09dcc992576d1ec6a372bd04a3e43874fe3e954018f"
     )
+
+
+def test_deletions_are_read_off_the_coloring_and_the_pools():
+    # deletions[e] counts the colors of L(e) below e's color, and equally the
+    # rounds whose pool held e without matching it.
+    rng = random.Random(2207)
+    for _ in range(200):
+        g, bip, edge_lists = _random_engine_instance(rng)
+        ec, trace = list_edge_color_trace(g, bip, edge_lists)
+        unmatched = Counter(
+            e for r in trace.rounds for e in set(r.pool) - set(r.matched)
+        )
+        assert trace.deletions.keys() == ec.colors.keys()
+        for e, d in trace.deletions.items():
+            assert d == sum(c < ec.colors[e] for c in edge_lists[e]) == unmatched[e]
+
+
+def test_end_guard_names_the_first_uncolored_edge(monkeypatch):
+    # A matching that colors nothing, waved through by the kernel check,
+    # leaves every edge uncolored after the last round.
+    from listpacking import galvin
+
+    monkeypatch.setattr(galvin, "stable_matching", lambda pool, prefs: set())
+    monkeypatch.setattr(galvin, "kernel_check", lambda pool, prefs, matching: True)
+    g, bip = complete_bipartite(2, 3)
+    lists = {e: frozenset(range(1, 4)) for e in g.edges}
+    lists[(1, 3)] = frozenset(range(1, 6))
+    with pytest.raises(RuntimeError, match=r"list at \(1, 3\) ran dry: 5 colors"):
+        list_edge_color_trace(g, bip, lists)
 
 
 def test_pack_complete_rows_match_pinned_digest():

@@ -87,6 +87,14 @@ def test_budget_exhaustion_is_distinct():
     assert result.status == EXHAUSTED
 
 
+def test_budget_rejects_nan_limits():
+    with pytest.raises(ValueError, match="positive"):
+        SearchBudget(time_limit=float("nan"))
+    with pytest.raises(ValueError, match="positive"):
+        SearchBudget(node_limit=float("nan"))
+    assert SearchBudget(time_limit=float("inf")).time_limit == float("inf")
+
+
 def test_budget_bounds_a_whole_scan():
     # One node allowance for the whole call, not a fresh one per inner
     # solve: each of these needs far more than 100 nodes in total.
@@ -129,6 +137,16 @@ def test_solve_packing_rejects_a_list_assignment_missing_a_vertex():
         solve_packing(k3, short, 2)
     with pytest.raises(ValueError, match="list assignment domain does not match the vertex set"):
         solve_list_coloring(k3, short)
+
+
+def test_solve_list_coloring_rejects_an_empty_list():
+    # Built directly, a ListAssignment skips from_dict's nonempty check.
+    g = Graph.from_edges(3, [(1, 3)])
+    ell = ListAssignment({1: frozenset({1}), 2: frozenset({1, 2}), 3: frozenset()})
+    with pytest.raises(ValueError, match="every list needs at least k=1 colors"):
+        solve_list_coloring(g, ell)
+    with pytest.raises(ValueError, match="every list needs at least k=1 colors"):
+        solve_packing(g, ell, 1)
 
 
 def test_packing_routes_agree_on_random_instances():
