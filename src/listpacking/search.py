@@ -3,6 +3,12 @@ enumeration of k-assignments up to color renaming, and exact chromatic /
 list-chromatic / list-packing numbers with certificates.  A list coloring is
 a packing of size 1, so one backtracker serves both.
 
+The list-packing scans also quotient by Aut(G): the same walk yields the
+lex-least assignment of each class under automorphisms and color renaming,
+prunes a prefix that an automorphism fixing its vertices maps to something
+smaller, and weighs each by the renaming classes it stands for, |Aut(G)|
+over its stabilizer (332 assignments for 4079 on K_4 at k = 4).
+
 Everything here is deliberately dumb and deterministic: fixed vertex order,
 sorted color order, no heuristics.  "absent" always means a completed search;
 running out of budget is a distinct outcome, never a wrong answer.
@@ -74,7 +80,9 @@ class ChiListResult:
 class ChiStarResult:
     value: int
     lower_witness: ListAssignment | None  # unpackable (value-1)-assignment
-    upper_evidence: int  # canonical value-assignments scanned, all packable
+    # Color-renaming classes of value-assignments covered, all packable: the
+    # scan runs one assignment per automorphism class, counted by class size.
+    upper_evidence: int
 
 
 class SearchExhaustedError(RuntimeError):
@@ -162,9 +170,9 @@ def _solve_packing(g: Graph, ell: ListAssignment, k: int, ticker: _Ticker) -> Se
     the ticker's total."""
     colors, ranks = _rank_colors(g, ell)
     try:
-        if _packing_search(g, colors, ranks, 1, ticker) is None:
-            return SearchResult(ABSENT, nodes=ticker.nodes)
-        rows = _packing_search(g, colors, ranks, k, ticker)
+        rows = _packing_search(g, colors, ranks, 1, ticker)
+        if rows is not None and k > 1:
+            rows = _packing_search(g, colors, ranks, k, ticker)
     except _BudgetHit:
         return SearchResult(EXHAUSTED, nodes=ticker.nodes)
     if rows is None:
@@ -279,7 +287,8 @@ def solve_packing_via_lift(
 
 
 # ---------------------------------------------------------------------------
-# Canonical enumeration of k-assignments up to color renaming.
+# Canonical enumeration of k-assignments up to color renaming and, for the
+# chi-star scans, up to a group of vertex permutations as well.
 #
 # Lists are scanned in vertex order and colors in sorted order; an assignment
 # is canonical when no injective color relabeling makes its flattened form
@@ -287,72 +296,164 @@ def solve_packing_via_lift(
 # unused positive integer, so fresh colors never exceed n*k, which is what
 # makes "for every k-assignment" finitely checkable.
 #
-# The canonicity test is incremental, as in orderly generation (McKay 1998,
-# "Isomorph-free exhaustive generation").  Call two colors of a canonical
-# prefix equivalent when they appear in exactly the same lists.  The
-# relabelings that map the prefix to itself are exactly the permutations
-# inside these color classes, and no relabeling maps it to anything smaller.
-# So the smallest image of a next list t takes, in every class C, the
-# |t & C| smallest colors of C, and its fresh colors to the next unused
-# integers.  The extended prefix is canonical exactly when t & C is already
-# that initial segment of C for every class.  Accepting t splits each class
-# into its part inside t and its part outside, and t's fresh colors form one
-# new class.
+# The canonical lists are generated directly, as in orderly generation (Read
+# 1978; McKay 1998, "Isomorph-free exhaustive generation").  Call two colors
+# of a canonical prefix equivalent when they appear in exactly the same
+# lists; the unseen colors form one more class.  The relabelings that map
+# the prefix to itself are exactly the permutations inside these classes,
+# and no relabeling maps it to anything smaller.  So the smallest image of
+# a next list t takes, in every class C, the |t & C| smallest colors of C,
+# and the extended prefix is canonical exactly when t & C is already that
+# initial segment of C for every class.  The canonical next lists are thus
+# one per way of spreading k colors over the classes.  Accepting t splits
+# each class into its part inside t and its part outside.
+#
+# A group of vertex permutations (Aut(G) in the scans) merges renaming
+# classes further, and the walk keeps the lex-least canonical member of each
+# merged class.  A permutation s that maps positions 1..i onto themselves
+# sends a prefix P to the prefix whose list j is P's list s(j); the first i
+# lists of any extension go the same way, and the canonical form of a list
+# sequence restricted to its first i lists is the canonical form of those
+# lists.  So if some such s gives a canonical image smaller than P, no
+# extension of P is lex-least and the walk prunes P.  A two-list canonical
+# form depends only on the overlap, so prefixes of length <= 2 are not
+# tested, except as leaves.  A leaf is tested against the whole group: the
+# number of s whose canonical image equals the leaf is the order of its
+# stabilizer, and the leaf stands for |group| / |stabilizer| renaming classes.
+#
+# Lists and classes are bitmasks, color c at bit n*k - c, so that each class
+# is a run of bits and of two k-lists the larger mask is the smaller sorted
+# tuple.
 # ---------------------------------------------------------------------------
 
 
-def _candidate_lists(mx: int, k: int) -> list[tuple[int, ...]]:
-    """Sorted k-lists that can follow a prefix using colors 1..mx: any seen
-    colors plus a run of fresh ones mx+1, mx+2, ..."""
-    out = []
-    for fresh in range(k + 1):
-        tail = tuple(range(mx + 1, mx + 1 + fresh))
-        for head in combinations(range(1, mx + 1), k - fresh):
-            out.append(head + tail)
-    out.sort()
-    return out
+def _canonical_lists(blocks: list[int], k: int) -> list[int]:
+    """The k-lists that keep a canonical prefix canonical, smallest first:
+    for every way of spreading k over the prefix's color classes `blocks`,
+    the first colors of each, which are its highest bits."""
+    partial = [(0, 0)]  # (mask, colors taken)
+    for block in blocks:
+        size, top = block.bit_count(), block.bit_length()
+        partial = [
+            (mask | ((1 << c) - 1) << (top - c), taken + c)
+            for mask, taken in partial
+            for c in range(min(size, k - taken) + 1)
+        ]
+    return sorted((mask for mask, taken in partial if taken == k), reverse=True)
 
 
-def _iter_canonical(n: int, k: int):
-    """All canonical k-assignments over vertices 1..n, lazily, in
-    lexicographic order of their flattened forms."""
-    prefix: list[tuple[int, ...]] = []
+def _automorphisms(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Aut(g), identity first, each as the tuple p with p[v-1] + 1 the image
+    of vertex v; by trying all n! vertex permutations, so only for the
+    vertex counts the packing scans allow."""
+    return tuple(
+        p
+        for p in permutations(range(g.n))
+        if all(g.has_edge(p[u - 1] + 1, p[v - 1] + 1) for u, v in g.edges)
+    )
 
-    def walk(mx: int, classes: list[list[int]]):
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        # A list meets every class in an initial segment exactly when it
-        # holds the predecessor, within its class, of each color it holds.
-        before = {c: cls[i - 1] for cls in classes for i, c in enumerate(cls) if i}
-        for cand in _candidate_lists(mx, k):
-            members = set(cand)
-            if any(before[c] not in members for c in cand if c in before):
+
+def _trie(perms: list[tuple[int, ...]]) -> tuple:
+    """Permutations of one length as a prefix tree: a node is a tuple of
+    (entry, child) pairs in first-seen order, and a leaf is ()."""
+    heads = dict.fromkeys(p[0] for p in perms if p)
+    return tuple((h, _trie([p[1:] for p in perms if p[0] == h])) for h in heads)
+
+
+def _meet(blocks: list[int], mask: int, width: int) -> tuple[int, list[int]]:
+    """The canonical form of the list `mask` after lists whose colors fall
+    into the classes `blocks`, in order: it takes the first colors of every
+    class it meets.  Also the classes split by the list."""
+    row, top, refined = 0, width, []
+    for block in blocks:
+        inside = block & mask
+        if inside:
+            c = inside.bit_count()
+            row |= ((1 << c) - 1) << (top - c)
+            refined.append(inside)
+            if inside != block:
+                refined.append(block ^ inside)
+        else:
+            refined.append(block)
+        top -= block.bit_count()
+    return row, refined
+
+
+def _stabilizer(rows: list[int], node: tuple, width: int, j: int, blocks: list[int]) -> int | None:
+    """Compare with the prefix, list by list as masks, the canonical form of
+    its image under each permutation p in the prefix-tree node `node` at
+    depth j: image list j is the prefix's list p[j], and `blocks` are the
+    image's color classes after its first j lists.  None when some image is
+    smaller, else the number of images equal to the prefix.  Permutations
+    that share their first j + 1 entries share the first j + 1 rows, so one
+    row decides a whole subtree unless it ties."""
+    equal = 0
+    for i, child in node:
+        row, refined = _meet(blocks, rows[i], width)
+        if row > rows[j]:
+            return None
+        if row == rows[j]:
+            if not child:
+                equal += 1
                 continue
-            refined = [
-                part
-                for cls in classes
-                for part in (
-                    [c for c in cls if c in members],
-                    [c for c in cls if c not in members],
-                )
-                if part
-            ]
-            fresh = [c for c in cand if c > mx]
-            if fresh:
-                refined.append(fresh)
-            prefix.append(cand)
-            yield from walk(max(mx, cand[-1]), refined)
-            prefix.pop()
+            below = _stabilizer(rows, child, width, j + 1, refined)
+            if below is None:
+                return None
+            equal += below
+    return equal
 
-    yield from walk(0, [])
+
+def _iter_canonical(n: int, k: int, group: Sequence[tuple[int, ...]] | None = None):
+    """The lex-least canonical k-assignment over vertices 1..n of every
+    class under color renaming and the vertex permutations of `group` (a
+    group, identity first, in `_automorphisms` form; None for the trivial
+    group), lazily, in lexicographic order of their flattened forms.  Each
+    comes with the number of color-renaming classes its class holds."""
+    group = group or (tuple(range(n)),)
+    width = n * k
+    all_colors = [(1 << width) - 1]
+    # Per prefix length i, the distinct non-identity restrictions to 1..i of
+    # the permutations that map 1..i onto itself, all of them at the leaves,
+    # as a prefix tree.
+    movers = [
+        _trie(list(dict.fromkeys(p[:i] for p in group if all(j < i for j in p[:i])))[1:])
+        if i > 2 or i == n
+        else ()
+        for i in range(n + 1)
+    ]
+    prefix: list[tuple[int, ...]] = []
+    rows: list[int] = []
+
+    def walk(blocks: list[int]):
+        for mask in _canonical_lists(blocks, k):
+            prefix.append(tuple(width - b for b in range(width - 1, -1, -1) if mask >> b & 1))
+            rows.append(mask)
+            node = movers[len(rows)]
+            equal = _stabilizer(rows, node, width, 0, all_colors) if node else 0
+            if equal is not None:
+                if len(rows) == n:
+                    yield tuple(prefix), len(group) // (1 + equal)
+                else:
+                    yield from walk(_meet(blocks, mask, width)[1])
+            prefix.pop()
+            rows.pop()
+
+    try:
+        if n == 0:
+            yield (), 1
+        else:
+            yield from walk(all_colors)
+    finally:
+        # walk refers to itself; break that cycle so that its state goes
+        # when the walk ends or is dropped, not at the next full collection.
+        del walk
 
 
 def enumerate_canonical_assignments(g: Graph, k: int):
     """Yield one representative per color-renaming class of k-assignments."""
     if k < 1:
         raise ValueError(f"list size must be positive, got {k}")
-    for lists in _iter_canonical(g.n, k):
+    for lists, _ in _iter_canonical(g.n, k):
         yield ListAssignment({v: frozenset(lists[v - 1]) for v in g.vertices()})
 
 
@@ -360,25 +461,32 @@ def enumerate_canonical_assignments(g: Graph, k: int):
 class _Scan:
     """One pass over the canonical k-assignments: `bad` is the first one the
     solver found no solution for (None when every one has one), `scanned`
-    counts the assignments handed to the solver, and `stalled` is the
-    exhaustion message when the budget ran out first."""
+    counts the color-renaming classes the assignments handed to the solver
+    stand for, and `stalled` is the exhaustion message when the budget ran
+    out first."""
 
     bad: ListAssignment | None
     scanned: int
     stalled: str | None = None
 
 
-def _scan(g: Graph, k: int, decide, ticker: _Ticker) -> _Scan:
-    """Run `decide` on each canonical k-assignment of g, in enumeration
-    order, until one comes back absent.  `decide` spends from `ticker`,
-    whose deadline is also checked before each assignment.  The packing
-    scans pass the warm-started `_packing_decider`: a re-fit of the last
-    vertex, one node each, with a cold `_solve_packing` on a miss."""
+def _scan(
+    g: Graph, k: int, decide, ticker: _Ticker, group: Sequence[tuple[int, ...]] | None = None
+) -> _Scan:
+    """Run `decide` on the lex-least canonical k-assignment of each class
+    under color renaming and `group` (see `_iter_canonical`), in enumeration
+    order, until one comes back absent.  Whether a packing or coloring
+    exists is invariant under both, so the first absent one is the same as
+    in the scan without `group`.  `decide` spends from `ticker`, whose
+    deadline is also checked before each assignment.  The packing scans pass
+    the warm-started `_packing_decider`: a re-fit of the last vertex, one
+    node each, with a cold `_solve_packing` on a miss."""
     scanned = 0
-    for ell in enumerate_canonical_assignments(g, k):
+    for lists, orbit in _iter_canonical(g.n, k, group):
         if time.monotonic() > ticker.deadline:
             return _Scan(None, scanned, f"budget exhausted scanning {k}-assignments")
-        scanned += 1
+        scanned += orbit
+        ell = ListAssignment({v: frozenset(lists[v - 1]) for v in g.vertices()})
         result = decide(ell)
         if result.status == EXHAUSTED:
             return _Scan(None, scanned, f"budget exhausted on a {k}-assignment")
@@ -544,14 +652,17 @@ def list_packing_number(
     g: Graph, k_max: int, budget: SearchBudget | None = None
 ) -> ChiStarResult:
     """Least k <= k_max such that every canonical k-assignment admits a
-    proper packing of size k, by full enumeration at every level.  The
-    budget bounds all the scans together."""
+    proper packing of size k, by a full scan at every level up to Aut(g):
+    one assignment per class under color renaming and automorphisms, which
+    stands for every renaming class in it.  The budget bounds all the scans
+    together."""
     if g.n > MAX_CHI_STAR_VERTICES:
         raise ValueError(f"graph too large for exact packing scans: {g.n} vertices")
     ticker = _Ticker(budget or SearchBudget())
+    group = _automorphisms(g)
     witness: ListAssignment | None = None
     for k in range(1, k_max + 1):
-        scan = _scan(g, k, _packing_decider(g, k, ticker), ticker)
+        scan = _scan(g, k, _packing_decider(g, k, ticker), ticker, group)
         if scan.stalled:
             raise SearchExhaustedError(scan.stalled)
         if scan.bad is None:

@@ -4,6 +4,7 @@ independent of the library's own search paths."""
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from itertools import combinations, permutations
 
 from listpacking import Graph, ListAssignment, Packing
@@ -61,6 +62,48 @@ def orbit_count(n: int, k: int) -> int:
             a = 0
             while True:
                 grown = tuple(s + a * (mask >> i & 1) for i, s in enumerate(sums))
+                if max(grown) > k:
+                    break
+                step[grown] += ways
+                a += 1
+        totals = step
+    return totals[(k,) * n]
+
+
+def burnside_count(n: int, k: int, group) -> int:
+    """Number of k-assignments of n vertices up to color renaming and the
+    vertex permutations of `group` (tuples p, p[i] the image of vertex i+1),
+    by Burnside's lemma: the mean over p of the renaming classes p fixes."""
+    fixed = sum(_fixed_classes(p, k) for p in group)
+    assert len(group[0]) == n and fixed % len(group) == 0
+    return fixed // len(group)
+
+
+@cache
+def _fixed_classes(p: tuple[int, ...], k: int) -> int:
+    """Renaming classes of k-assignments that the vertex permutation p
+    fixes.  A class is the vector of counts a_S of orbit_count, and p fixes
+    it exactly when a_S is constant on p's orbits of vertex sets S: the
+    same dynamic programming, over those orbits in place of single sets."""
+    n = len(p)
+    seen: set[int] = set()
+    totals = Counter({(0,) * n: 1})
+    for mask in range(1, 2**n):
+        if mask in seen:
+            continue
+        orbit = [mask]
+        while True:
+            image = sum(1 << p[i] for i in range(n) if orbit[-1] >> i & 1)
+            if image == mask:
+                break
+            orbit.append(image)
+        seen.update(orbit)
+        weight = [sum(s >> i & 1 for s in orbit) for i in range(n)]
+        step: Counter[tuple[int, ...]] = Counter()
+        for sums, ways in totals.items():
+            a = 0
+            while True:
+                grown = tuple(s + a * w for s, w in zip(sums, weight))
                 if max(grown) > k:
                     break
                 step[grown] += ways

@@ -36,6 +36,7 @@ from listpacking import (
 from listpacking import search
 from .helpers import (
     all_graphs_up_to_iso,
+    burnside_count,
     cycle_graph,
     long_path_instance,
     orbit_count,
@@ -179,8 +180,10 @@ def _random_packing_instances(count, seed):
 
 
 # SHA-256 over (status, nodes, witness rows) of every instance, recorded from
-# the search that compared color tuples coordinate by coordinate.
-SOLVE_PACKING_SHA256 = "012b03d96c8ed67f6acddd8074236d0798877a503672ffa1b7544410b4bf3813"
+# the search that compared color tuples coordinate by coordinate, then
+# re-recorded when k = 1 stopped running the same search twice: the 78 k = 1
+# instances found halved their node counts, and nothing else changed.
+SOLVE_PACKING_SHA256 = "5339bc870da9dc487993f5276f07b318ed2fab9f1d074f939ef83dae8da92584"
 
 
 def test_solve_packing_outputs_match_pinned_digest():
@@ -227,6 +230,17 @@ def test_solve_list_coloring_outputs_match_pinned_digest():
         statuses[result.status] += 1
     assert min(statuses[FOUND], statuses[ABSENT], statuses[EXHAUSTED]) > 0
     assert digest.hexdigest() == SOLVE_LIST_COLORING_SHA256
+
+
+def test_solve_packing_at_k_1_runs_one_search():
+    k1 = Graph.from_edges(1, [])
+    assert solve_packing(k1, ListAssignment({1: frozenset({1})}), 1).nodes == 1
+    statuses = Counter()
+    for g, ell in _random_coloring_instances(300, 31):
+        result = solve_packing(g, ell, 1)
+        assert result.nodes == solve_list_coloring(g, ell).nodes
+        statuses[result.status] += 1
+    assert min(statuses[FOUND], statuses[ABSENT]) > 0
 
 
 def test_canonical_enumeration_k2_size_one_and_two():
@@ -349,6 +363,69 @@ def test_warm_scans_match_a_cold_reference_scan():
             warm = find_bad_assignment(g, k)
             assert warm.status == (ABSENT if scan.bad is None else FOUND)
             assert warm.witness == scan.bad
+
+
+def test_automorphism_groups_have_the_expected_orders():
+    star = Graph.from_edges(4, [(1, 2), (1, 3), (1, 4)])
+    for g, order in (
+        (complete_graph(4), 24),
+        (cycle_graph(4), 8),
+        (star, 6),
+        (path_graph(4), 2),
+        (Graph.from_edges(4, []), 24),
+    ):
+        group = search._automorphisms(g)
+        assert len(group) == len(set(group)) == order
+        assert group[0] == tuple(range(g.n))
+        for p in group:
+            image = sorted(tuple(sorted((p[u - 1] + 1, p[v - 1] + 1))) for u, v in g.edges)
+            assert image == list(g.edges)
+
+
+def test_the_quotient_scan_spends_the_budget():
+    with pytest.raises(SearchExhaustedError, match="on a 4-assignment"):
+        list_packing_number(complete_graph(4), 4, SearchBudget(node_limit=100))
+
+
+def test_symmetry_walk_matches_a_burnside_count():
+    for g in all_graphs_up_to_iso(4):
+        group = search._automorphisms(g)
+        for k in range(1, 5):
+            reps = list(search._iter_canonical(g.n, k, group))
+            assert len(reps) == burnside_count(g.n, k, group), (g.edges, k)
+            assert sum(orbit for _, orbit in reps) == orbit_count(g.n, k), (g.edges, k)
+    k4 = complete_graph(4)
+    assert sum(1 for _ in search._iter_canonical(4, 4, search._automorphisms(k4))) == 332
+
+
+def _renaming_class(lists):
+    """An assignment's class under color renaming, as the number of colors
+    lying in exactly the lists of S, for each vertex set S (0-based)."""
+    where: dict[int, set[int]] = {}
+    for v, colors in enumerate(lists):
+        for c in colors:
+            where.setdefault(c, set()).add(v)
+    return Counter(frozenset(s) for s in where.values())
+
+
+def test_symmetry_walk_keeps_the_first_assignment_of_each_class():
+    # Naive oracle: walk the renaming classes in order, key each by the
+    # least image of its counts under the group, and keep the first
+    # assignment of every key with the number of renaming classes in it.
+    cases = [(g, k) for g in all_graphs_up_to_iso(4) for k in (1, 2, 3)]
+    cases.append((complete_graph(4), 4))
+    for g, k in cases:
+        group = search._automorphisms(g)
+        first: dict[tuple, list] = {}
+        for lists, _ in search._iter_canonical(g.n, k):
+            counts = _renaming_class(lists)
+            key = min(
+                tuple(sorted((tuple(sorted(p[v] for v in s)), a) for s, a in counts.items()))
+                for p in group
+            )
+            first.setdefault(key, [lists, 0])[1] += 1
+        expected = [tuple(entry) for entry in first.values()]
+        assert list(search._iter_canonical(g.n, k, group)) == expected, (g.edges, k)
 
 
 def test_scan_refits_spend_budget():
