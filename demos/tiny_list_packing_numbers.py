@@ -52,8 +52,9 @@ for name, g in zoo.items():
         print(f"{name:<9} {chi:>4} {'>4':>9} {'>4':>9} {'?':>6}")
 
 print("""
-K_4 is the slow row: certifying its value 4 means packing every one of its
-4079 canonical 4-assignments, about a second of search.
+K_4 is the slow row: certifying its value 4 means packing 332 canonical
+4-assignments, one per class under its 24 automorphisms, standing for all
+4079 classes under color renaming; about 0.05 s of search.
 """)
 
 # C_4 is the fun row: its list chromatic number is 2, but its list packing

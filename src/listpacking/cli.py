@@ -11,6 +11,7 @@ negative results so failures reproduce from artifacts alone.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -219,66 +220,61 @@ class _Parser(argparse.ArgumentParser):
         super().error(message)  # exits with status 2, EXIT_INPUT
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later `main` call;
+    each parse starts from the defaults again."""
     parser = _Parser(
         prog="listpacking",
         description="Construct and certify proper list packings of complete graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--budget-nodes", type=int, default=2_000_000)
-        p.add_argument("--budget-seconds", type=float, default=60.0)
-        p.add_argument("-o", "--output", default=None, help="output file path")
+    def command(name: str, func, about: str, budgets: bool = True, output: bool = True):
+        """A subcommand with only the common flags its handler reads."""
+        p = sub.add_parser(name, help=about)
+        p.set_defaults(func=func)
+        if budgets:
+            p.add_argument("--budget-nodes", type=int, default=2_000_000)
+            p.add_argument("--budget-seconds", type=float, default=60.0)
+        if output:
+            p.add_argument("-o", "--output", default=None, help="output file path")
+        return p
 
-    p = sub.add_parser("pack-complete", help="pack an m-assignment of K_n")
+    p = command("pack-complete", cmd_pack_complete, "pack an m-assignment of K_n")
     p.add_argument("-n", type=int, required=True, help="number of vertices of K_n")
     p.add_argument("--lists", required=True)
-    common(p)
-    p.set_defaults(func=cmd_pack_complete)
 
-    p = sub.add_parser("solve", help="exact packing search on any graph")
+    p = command("solve", cmd_solve, "exact packing search on any graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--lists", required=True)
     p.add_argument("--size", type=int, required=True, help="packing size k")
-    common(p)
-    p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("verify", help="re-check a packing file")
+    p = command("verify", cmd_verify, "re-check a packing file", budgets=False, output=False)
     p.add_argument("--graph", required=True)
     p.add_argument("--lists", required=True)
     p.add_argument("--packing", required=True)
-    common(p)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("edge-color", help="list edge coloring of a bipartite graph")
+    p = command("edge-color", cmd_edge_color, "list edge coloring of a bipartite graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--edge-lists", required=True)
-    common(p)
-    p.set_defaults(func=cmd_edge_color)
 
-    p = sub.add_parser("chi", help="exact chromatic number")
+    p = command("chi", cmd_chi, "exact chromatic number", output=False)
     p.add_argument("--graph", required=True)
-    common(p)
-    p.set_defaults(func=cmd_chi)
 
-    p = sub.add_parser("chi-list", help="exact list chromatic number")
+    p = command("chi-list", cmd_chi_list, "exact list chromatic number")
     p.add_argument("--graph", required=True)
     p.add_argument("--max-k", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_chi_list)
 
-    p = sub.add_parser("chi-star", help="exact list packing number")
+    p = command("chi-star", cmd_chi_star, "exact list packing number")
     p.add_argument("--graph", required=True)
     p.add_argument("--max-k", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_chi_star)
 
-    p = sub.add_parser("scan", help="table of n, chi, chi_list, chi_star, ratio for K_n")
+    p = command(
+        "scan", cmd_scan, "table of n, chi, chi_list, chi_star, ratio for K_n", output=False
+    )
     p.add_argument("--size", type=int, default=3, help="largest complete graph")
     p.add_argument("--max-k", type=int, default=None)
-    common(p)
-    p.set_defaults(func=cmd_scan)
 
     return parser
 

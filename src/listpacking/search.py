@@ -18,11 +18,12 @@ of its (coordinate, color) pairs, so that two tuples clash in some coordinate
 exactly when their masks intersect; the masks of a list are built once and
 memoized.
 
-The packing scans are warm-started: consecutive canonical assignments mostly
-share every list but the last, so the scan keeps the last packing it found
-on vertices 1..n-1 and re-fits vertex n alone, by a row-color matching that
-spends one search node.  Only when that fails does a cold search run, and
-only a cold search may report a packing absent.
+Every scan is warm-started, the list-chromatic one included (it is the
+packing scan at k = 1): consecutive canonical assignments mostly share every
+list but the last, so the scan keeps the last packing it found on vertices
+1..n-1 and re-fits vertex n alone, by a row-color matching that spends one
+search node.  Only when that fails does a cold search run, and only a cold
+search may report a packing absent.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .coloring import (
     ListAssignment,
     Packing,
     _require_domains,
-    is_proper_coloring,
     is_proper_packing,
 )
 from .graphs import Graph
@@ -125,25 +125,12 @@ class _Ticker:
 def solve_list_coloring(
     g: Graph, ell: ListAssignment, budget: SearchBudget | None = None
 ) -> SearchResult:
-    """Backtracking search for a proper list coloring, vertices in input
-    order, colors in sorted order, forward checking on neighbor domains."""
-    if not all(ell.lists.values()):
-        raise ValueError("every list needs at least k=1 colors")
-    return _solve_list_coloring(g, ell, _Ticker(budget or SearchBudget()))
-
-
-def _solve_list_coloring(g: Graph, ell: ListAssignment, ticker: _Ticker) -> SearchResult:
-    """solve_list_coloring on a given ticker, as the packing search at k = 1
-    (a list coloring is a packing of size 1); `nodes` is the ticker's total."""
-    _require_domains(g, ell)
-    try:
-        rows = _packing_search(g, *_rank_colors(g, ell), 1, ticker)
-    except _BudgetHit:
-        return SearchResult(EXHAUSTED, nodes=ticker.nodes)
-    if rows is None:
-        return SearchResult(ABSENT, nodes=ticker.nodes)
-    assert is_proper_coloring(g, ell, rows[0]).ok
-    return SearchResult(FOUND, witness=rows[0], nodes=ticker.nodes)
+    """Backtracking search for a proper list coloring: the packing search at
+    k = 1, whose one row is the coloring."""
+    result = solve_packing(g, ell, 1, budget)
+    if result.status != FOUND:
+        return result
+    return replace(result, witness=result.witness.rows[0])
 
 
 def solve_packing(
@@ -478,9 +465,10 @@ def _scan(
     order, until one comes back absent.  Whether a packing or coloring
     exists is invariant under both, so the first absent one is the same as
     in the scan without `group`.  `decide` spends from `ticker`, whose
-    deadline is also checked before each assignment.  The packing scans pass
-    the warm-started `_packing_decider`: a re-fit of the last vertex, one
-    node each, with a cold `_solve_packing` on a miss."""
+    deadline is also checked before each assignment.  Every scan here passes
+    the warm-started `_packing_decider`, at k = 1 for list colorings: a
+    re-fit of the last vertex, one node each, with a cold `_solve_packing`
+    on a miss."""
     scanned = 0
     for lists, orbit in _iter_canonical(g.n, k, group):
         if time.monotonic() > ticker.deadline:
@@ -583,7 +571,7 @@ def chromatic_number(g: Graph, budget: SearchBudget | None = None) -> int:
     ticker = _Ticker(budget or SearchBudget())
     for t in range(1, g.n + 1):
         ell = ListAssignment({v: frozenset(range(1, t + 1)) for v in g.vertices()})
-        result = _solve_list_coloring(g, ell, ticker)
+        result = _solve_packing(g, ell, 1, ticker)
         if result.status == EXHAUSTED:
             raise SearchExhaustedError(f"budget exhausted deciding {t}-colorability")
         if result.status == FOUND:
@@ -636,7 +624,7 @@ def list_chromatic_number(
     for k in range(1, k_max + 1):
         if k >= greedy:
             return ChiListResult(k, witness)
-        scan = _scan(g, k, lambda ell: _solve_list_coloring(g, ell, ticker), ticker)
+        scan = _scan(g, k, _packing_decider(g, 1, ticker), ticker)
         if scan.stalled:
             raise SearchExhaustedError(scan.stalled)
         if scan.bad is None:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from listpacking import complete_bipartite, complete_graph
-from listpacking.cli import main
+from listpacking.cli import build_parser, main
 from listpacking.formats import (
     FormatError,
     format_graph,
@@ -272,6 +272,56 @@ def test_chi_star_k4_certificate_is_unchanged(tmp_path, capsys):
     assert cert.read_bytes() == pinned.read_bytes()
 
 
+def test_chi_list_k24_certificate_is_unchanged(tmp_path, capsys):
+    # Written by the scan that ran a cold search on every assignment.
+    pinned = Path(__file__).parent / "data" / "k24_chi_list_max_k3.json"
+    k24 = write(tmp_path, "k24.col", format_graph(complete_bipartite(2, 4)[0]))
+    cert = tmp_path / "cert.json"
+    assert main(["chi-list", "--graph", k24, "--max-k", "3", "-o", str(cert)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "STATUS=ok VALUE=3"
+    assert cert.read_bytes() == pinned.read_bytes()
+
+
+def test_subcommands_reject_the_flags_they_do_not_read(tmp_path, capsys):
+    graph = write(tmp_path, "g.col", K3_COL)
+    lists = write(tmp_path, "l.json", lists_json({v: [1, 2, 3] for v in (1, 2, 3)}))
+    packing = write(tmp_path, "p.json", '{"k": 3, "colorings": [[1,2,3],[2,3,1],[3,1,2]]}')
+    verify = ["verify", "--graph", graph, "--lists", lists, "--packing", packing]
+    out = tmp_path / "x"
+    for argv in (
+        [*verify, "--budget-nodes", "5"],
+        [*verify, "--budget-seconds", "5"],
+        [*verify, "-o", str(out)],
+        ["chi", "--graph", graph, "-o", str(out)],
+        ["scan", "--size", "2", "-o", str(out)],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[0] == "STATUS=error VALUE="
+        assert "unrecognized arguments" in captured.err
+    assert not out.exists()
+
+
+def test_the_shared_parser_gives_each_call_its_own_defaults(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    k4 = write(tmp_path, "k4.col", format_graph(complete_graph(4)))
+    graph = write(tmp_path, "g.col", K3_COL)
+    lists = write(tmp_path, "l.json", lists_json({v: [1, 2, 3] for v in (1, 2, 3)}))
+    cert = tmp_path / "cert.json"
+    argv = ["chi-star", "--graph", k4, "--max-k", "4"]
+    assert main([*argv, "--budget-nodes", "1", "-o", str(cert)]) == 3
+    assert capsys.readouterr().out.splitlines()[0] == "STATUS=exhausted VALUE="
+    # Had the first call's flags stuck, one node would exhaust this search
+    # too, and this call and the next would write cert.json.
+    assert main(["solve", "--graph", graph, "--lists", lists, "--size", "3"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "STATUS=ok VALUE=3"
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "STATUS=ok VALUE=4"
+    assert not cert.exists()
+
+
 def test_pack_complete_reads_the_lists_before_building_k_n(tmp_path, capsys):
     lists = write(tmp_path, "l.json", lists_json({1: [1, 2, 3]}))
     start = time.perf_counter()
@@ -428,6 +478,8 @@ def _bad_input(command: str, case: str) -> tuple[list[str], dict[str, str]] | No
     if case == "non-integer flag":
         if command == "pack-complete":
             return [command, "-n", "abc", *argv[3:]], {}
+        if command == "verify":  # it takes no integer flag
+            return None
         return [*argv, "--budget-nodes", "many"], {}
     files = [a[1:-1] for a in argv if a.startswith("{")]
     if case == "missing file":

@@ -13,6 +13,7 @@ from listpacking import (
     EXHAUSTED,
     FOUND,
     BoundExceededError,
+    ChiListResult,
     ChiStarResult,
     Graph,
     ListAssignment,
@@ -342,24 +343,35 @@ def test_find_bad_assignment_k4():
     assert solve_packing(k4, result.witness, 3).status == ABSENT
 
 
-def _cold_scan(g, k, ticker):
-    """The packing scan without a warm start: a cold solve per assignment."""
-    return search._scan(g, k, lambda ell: search._solve_packing(g, ell, k, ticker), ticker)
+def _cold_scan(g, k, ticker, size):
+    """The scan of k-assignments without a warm start: a cold solve per
+    assignment for a packing of the given size (1 for list colorings)."""
+    return search._scan(g, k, lambda ell: search._solve_packing(g, ell, size, ticker), ticker)
+
+
+def _cold_levels(g, packing: bool):
+    """Scan k = 1, 2, ... cold until no k-assignment is bad: that k, the
+    bad (k-1)-assignment, and the classes the last scan covered.  Packings
+    of size k give the list packing number, colorings the list chromatic
+    number."""
+    ticker = search._Ticker(SearchBudget())
+    witness = None
+    for k in range(1, 5):
+        scan = _cold_scan(g, k, ticker, k if packing else 1)
+        assert scan.stalled is None
+        if scan.bad is None:
+            return k, witness, scan.scanned
+        witness = scan.bad
+    raise AssertionError("every graph on at most 4 vertices has value at most 4")
 
 
 def test_warm_scans_match_a_cold_reference_scan():
     for g in all_graphs_up_to_iso(4):
-        ticker = search._Ticker(SearchBudget())
-        witness = None
-        for k in range(1, 5):
-            scan = _cold_scan(g, k, ticker)
-            assert scan.stalled is None
-            if scan.bad is None:
-                break
-            witness = scan.bad
-        assert list_packing_number(g, 4) == ChiStarResult(k, witness, scan.scanned)
+        assert list_packing_number(g, 4) == ChiStarResult(*_cold_levels(g, packing=True))
+        k, witness, _ = _cold_levels(g, packing=False)
+        assert list_chromatic_number(g, 4) == ChiListResult(k, witness)
         for k in range(1, 4):
-            scan = _cold_scan(g, k, search._Ticker(SearchBudget()))
+            scan = _cold_scan(g, k, search._Ticker(SearchBudget()), k)
             warm = find_bad_assignment(g, k)
             assert warm.status == (ABSENT if scan.bad is None else FOUND)
             assert warm.witness == scan.bad
