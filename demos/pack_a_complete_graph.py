@@ -45,6 +45,8 @@ print(f"  list at (1,1): {sorted(lifted[product_id(1, 1, m)])}")
 print(f"  list at (1,5): {sorted(lifted[product_id(1, 5, m)])}  (same: constant along j)")
 
 # Stage 2: the product IS the line graph of K_{n,m} -- identical edge sets.
+# Line-graph vertex v is the edge knm.edges[v - 1] = x_i y_j, where
+# (i, j) = product_coords(v, m) is the same vertex in the product.
 knm, bip = complete_bipartite(n, m)
 lg = line_graph(knm)
 print(f"\nline graph of K_{{{n},{m}}} equals the product: {lg.edges == h.edges}")

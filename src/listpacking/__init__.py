@@ -26,13 +26,10 @@ from .galvin import (
     verify_edge_coloring,
 )
 from .graphs import (
-    Atom,
     Bipartition,
     Edge,
-    EdgeOf,
     Graph,
     NotBipartiteError,
-    Pair,
     bipartition,
     cartesian_product,
     complete_bipartite,

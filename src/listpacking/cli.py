@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
-from .coloring import ListAssignment, is_proper_packing
+from .coloring import is_proper_packing
 from .formats import (
     FormatError,
+    format_certificate,
     format_edge_coloring,
     format_packing,
     parse_edge_lists,
@@ -140,24 +140,17 @@ def cmd_chi(args) -> int:
     return EXIT_OK
 
 
-def _witness_json(ell: ListAssignment | None) -> dict | None:
-    if ell is None:
-        return None
-    return {str(v): sorted(ell[v]) for v in sorted(ell.domain())}
-
-
 def cmd_chi_list(args) -> int:
     g = _load_graph(args)
     try:
         result = list_chromatic_number(g, args.max_k, _budget(args))
     except BoundExceededError as exc:
-        cert = {"bound": exc.bound, "bad_assignment": _witness_json(exc.witness)}
-        _write(args.output, json.dumps(cert, indent=2) + "\n")
+        cert = {"bound": exc.bound, "bad_assignment": exc.witness}
+        _write(args.output, format_certificate(cert))
         _verdict("negative")
         print(f"list chromatic number exceeds {exc.bound}")
         return EXIT_NEGATIVE
-    cert = {"value": result.value, "lower_witness": _witness_json(result.lower_witness)}
-    _write(args.output, json.dumps(cert, indent=2) + "\n")
+    _write(args.output, format_certificate(vars(result)))
     _verdict("ok", result.value)
     print(f"list chromatic number {result.value}")
     return EXIT_OK
@@ -168,18 +161,14 @@ def cmd_chi_star(args) -> int:
     try:
         result = list_packing_number(g, args.max_k, _budget(args))
     except BoundExceededError as exc:
-        cert = {"bound": exc.bound, "bad_assignment": _witness_json(exc.witness)}
-        _write(args.output, json.dumps(cert, indent=2) + "\n")
+        cert = {"bound": exc.bound, "bad_assignment": exc.witness}
+        _write(args.output, format_certificate(cert))
         _verdict("negative")
         print(f"list packing number exceeds {exc.bound}")
         return EXIT_NEGATIVE
-    cert = {
-        "value": result.value,
-        "lower_witness": _witness_json(result.lower_witness),
-        "upper_evidence": result.upper_evidence,
-        "color_cap": g.n * result.value,
-    }
-    _write(args.output, json.dumps(cert, indent=2) + "\n")
+    # The result's fields in order, then the most colors a scanned assignment uses.
+    cert = {**vars(result), "color_cap": g.n * result.value}
+    _write(args.output, format_certificate(cert))
     _verdict("ok", result.value)
     print(f"list packing number {result.value}")
     print(
@@ -190,14 +179,17 @@ def cmd_chi_star(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    if args.size < 1:
+        raise ValueError(f"--size must be at least 1, got {args.size}")
     budget = _budget(args)
     rows = []
     for n in range(1, args.size + 1):
         g = complete_graph(n)
         chi = chromatic_number(g, budget)
+        k_max = n if args.max_k is None else args.max_k
         try:
-            chi_list = list_chromatic_number(g, args.max_k or n, budget).value
-            chi_star = list_packing_number(g, args.max_k or n, budget).value
+            chi_list = list_chromatic_number(g, k_max, budget).value
+            chi_star = list_packing_number(g, k_max, budget).value
         except BoundExceededError as exc:
             _verdict("negative")
             print(f"K_{n}: chi_list or chi_star exceeds the bound {exc.bound}")

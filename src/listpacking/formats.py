@@ -1,6 +1,6 @@
 """File formats: DIMACS-style graph files, JSON list files (vertex- or
-edge-keyed), and JSON packing files.  Parsers reject malformed input with the
-offending line or key named; writers round-trip exactly.
+edge-keyed), JSON packing files and scan certificates.  Parsers reject
+malformed input with the offending line or key named; writers round-trip exactly.
 """
 
 from __future__ import annotations
@@ -161,9 +161,18 @@ def parse_vertex_lists(text: str, g: Graph) -> ListAssignment:
     return ListAssignment(lists)
 
 
+def _lists_object(ell: ListAssignment) -> dict[str, list[int]]:
+    return {str(v): sorted(ell[v]) for v in sorted(ell.domain())}
+
+
 def format_vertex_lists(ell: ListAssignment) -> str:
-    obj = {str(v): sorted(ell[v]) for v in sorted(ell.domain())}
-    return json.dumps(obj, indent=2) + "\n"
+    return json.dumps(_lists_object(ell), indent=2) + "\n"
+
+
+def format_certificate(fields: dict) -> str:
+    """A chi-list or chi-star certificate: `fields` in order as a JSON object,
+    each list assignment in it written as a lists file writes it."""
+    return json.dumps(fields, indent=2, default=_lists_object) + "\n"
 
 
 def parse_inputs(graph_path, lists_path) -> tuple[Graph, ListAssignment]:

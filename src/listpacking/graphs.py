@@ -2,10 +2,10 @@
 complete graphs, complete bipartite graphs, Cartesian products, line graphs,
 and bipartitions with odd-cycle witnesses.
 
-Vertices are contiguous 1-based integers.  Derived graphs carry structured
-labels (Atom / Pair / EdgeOf) so that product coordinates and edge-vertices
-can be recovered without parsing anything.  All constructors are
-deterministic: identical inputs give identical vertex orderings and labels.
+A graph is its vertex count n and its sorted edge tuple, on the vertices
+1..n.  Product coordinates come from `product_coords`; line-graph vertices
+follow the base graph's sorted edge order.  All constructors are
+deterministic: identical inputs give identical graphs.
 """
 
 from __future__ import annotations
@@ -17,26 +17,6 @@ from itertools import combinations
 
 Vertex = int
 Edge = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class Atom:
-    index: int
-
-
-@dataclass(frozen=True)
-class Pair:
-    left: "Label"
-    right: "Label"
-
-
-@dataclass(frozen=True)
-class EdgeOf:
-    u: int
-    v: int  # normalized: u < v
-
-
-Label = Atom | Pair | EdgeOf
 
 
 class NotBipartiteError(ValueError):
@@ -62,15 +42,9 @@ class Graph:
 
     n: int
     edges: tuple[Edge, ...]
-    labels: tuple[Label, ...] | None = None
 
     @classmethod
-    def from_edges(
-        cls,
-        n: int,
-        edge_list,
-        labels: tuple[Label, ...] | None = None,
-    ) -> "Graph":
+    def from_edges(cls, n: int, edge_list) -> "Graph":
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         seen: set[Edge] = set()
@@ -83,9 +57,7 @@ class Graph:
             if e in seen:
                 raise ValueError(f"duplicate edge ({u},{v}) rejected")
             seen.add(e)
-        if labels is not None and len(labels) != n:
-            raise ValueError("labels must cover every vertex")
-        return cls(n, tuple(sorted(seen)), labels)
+        return cls(n, tuple(sorted(seen)))
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
@@ -113,9 +85,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return edge(u, v) in self._edge_set
-
-    def label(self, v: int) -> Label | None:
-        return None if self.labels is None else self.labels[v - 1]
 
 
 @dataclass(frozen=True)
@@ -148,8 +117,7 @@ def complete_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"complete graph needs at least one vertex, got n={n}")
     edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-    labels = tuple(Atom(i) for i in range(1, n + 1))
-    return Graph.from_edges(n, edges, labels)
+    return Graph.from_edges(n, edges)
 
 
 def complete_bipartite(n: int, m: int) -> tuple[Graph, Bipartition]:
@@ -157,8 +125,7 @@ def complete_bipartite(n: int, m: int) -> tuple[Graph, Bipartition]:
     if n < 1 or m < 1:
         raise ValueError(f"both sides must be nonempty, got ({n},{m})")
     edges = [(i, n + j) for i in range(1, n + 1) for j in range(1, m + 1)]
-    labels = tuple(Atom(i) for i in range(1, n + m + 1))
-    g = Graph.from_edges(n + m, edges, labels)
+    g = Graph.from_edges(n + m, edges)
     bip = Bipartition(frozenset(range(1, n + 1)), frozenset(range(n + 1, n + m + 1)))
     return g, bip
 
@@ -176,17 +143,12 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     for a, b in g.edges:
         for j in h.vertices():
             edges.append(edge(product_id(a, j, w), product_id(b, j, w)))
-    labels = tuple(
-        Pair(g.label(i) or Atom(i), h.label(j) or Atom(j))
-        for i in g.vertices()
-        for j in h.vertices()
-    )
-    return Graph.from_edges(g.n * h.n, edges, labels)
+    return Graph.from_edges(g.n * h.n, edges)
 
 
 def line_graph(g: Graph) -> Graph:
-    """One vertex per edge of g (in sorted edge order, labeled EdgeOf);
-    two edge-vertices are adjacent when the edges share an endpoint."""
+    """Vertex v is the edge g.edges[v - 1], in sorted edge order; two
+    edge-vertices are adjacent when the edges share an endpoint."""
     if not g.edges:
         raise ValueError("line graph of an edgeless graph is undefined here")
     base = g.edges
@@ -195,8 +157,7 @@ def line_graph(g: Graph) -> Graph:
         ea, eb = base[a], base[b]
         if ea[0] in eb or ea[1] in eb:
             edges.append((a + 1, b + 1))
-    labels = tuple(EdgeOf(u, v) for u, v in base)
-    return Graph.from_edges(len(base), edges, labels)
+    return Graph.from_edges(len(base), edges)
 
 
 def bipartition(g: Graph) -> Bipartition:

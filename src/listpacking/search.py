@@ -618,6 +618,8 @@ def list_chromatic_number(
     bound; at k >= coloring_number(g) colorability is certain without it.
     The budget bounds all the scans together.
     """
+    if k_max < 1:  # no k <= k_max to scan, so a negative would have no witness
+        raise ValueError(f"the bound k_max must be at least 1, got {k_max}")
     ticker = _Ticker(budget or SearchBudget())
     greedy = coloring_number(g)
     witness: ListAssignment | None = None
@@ -644,6 +646,8 @@ def list_packing_number(
     one assignment per class under color renaming and automorphisms, which
     stands for every renaming class in it.  The budget bounds all the scans
     together."""
+    if k_max < 1:  # no k <= k_max to scan, so a negative would have no witness
+        raise ValueError(f"the bound k_max must be at least 1, got {k_max}")
     if g.n > MAX_CHI_STAR_VERTICES:
         raise ValueError(f"graph too large for exact packing scans: {g.n} vertices")
     ticker = _Ticker(budget or SearchBudget())

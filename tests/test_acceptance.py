@@ -13,12 +13,9 @@ import time
 from listpacking import (
     ABSENT,
     FOUND,
-    Atom,
     BoundExceededError,
-    EdgeOf,
     ListAssignment,
     PackRequest,
-    Pair,
     PreferenceSystem,
     SearchBudget,
     cartesian_product,
@@ -35,6 +32,7 @@ from listpacking import (
     list_edge_color_trace,
     list_packing_number,
     pack_complete,
+    product_coords,
     solve_packing,
     solve_packing_via_lift,
     verify_edge_coloring,
@@ -137,8 +135,9 @@ def test_criterion_4_galvin_engine_soundness():
 
 
 def test_criterion_5_structure_facts():
-    # Edge-set equality of line graph and product under the fixed relabeling
-    # for n, m <= 4, and brute-force chi(K_n box K_m) = max(n, m); < 10 s.
+    # The line graph of K_{n,m} is K_n box K_m, with edge x_i y_j as product
+    # vertex (i, j), for n, m <= 4, and brute-force chi(K_n box K_m) =
+    # max(n, m); < 10 s.
     start = time.monotonic()
     for n in range(1, 5):
         for m in range(1, 5):
@@ -147,9 +146,8 @@ def test_criterion_5_structure_facts():
             prod = cartesian_product(complete_graph(n), complete_graph(m))
             assert lg.edges == prod.edges
             for v in lg.vertices():
-                lab = lg.label(v)
-                assert isinstance(lab, EdgeOf)
-                assert prod.label(v) == Pair(Atom(lab.u), Atom(lab.v - n))
+                i, j = product_coords(v, m)
+                assert knm.edges[v - 1] == (i, n + j)
             assert chromatic_number(prod) == max(n, m)
     elapsed = time.monotonic() - start
     assert elapsed < 10.0

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from listpacking import complete_bipartite, complete_graph
+from listpacking import cartesian_product, complete_bipartite, complete_graph
 from listpacking.cli import build_parser, main
 from listpacking.formats import (
     FormatError,
@@ -35,9 +35,17 @@ def lists_json(lists: dict) -> str:
 
 
 def test_parse_graph_roundtrip():
-    g = parse_graph(K3_COL)
-    assert g.n == 3 and g.edges == ((1, 2), (1, 3), (2, 3))
-    assert parse_graph(format_graph(g)) == g
+    k3 = parse_graph(K3_COL)
+    assert k3.n == 3 and k3.edges == ((1, 2), (1, 3), (2, 3))
+    # A graph is its vertex count and edge set, whichever constructor built it.
+    for g in (
+        k3,
+        complete_graph(4),
+        complete_bipartite(2, 3)[0],
+        cartesian_product(complete_graph(2), complete_graph(3)),
+    ):
+        back = parse_graph(format_graph(g))
+        assert back == g and hash(back) == hash(g)
 
 
 def test_parse_graph_rejects_malformed():
@@ -400,6 +408,30 @@ def test_scan_command_reports_a_hit_bound(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "STATUS=negative VALUE="
     assert out[1] == "K_2: chi_list or chi_star exceeds the bound 1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chi-star", "--graph", "{k3}", "--max-k", "0"],
+        ["chi-list", "--graph", "{k3}", "--max-k", "-2"],
+        ["scan", "--size", "-1"],
+        ["scan", "--size", "2", "--max-k", "0"],
+    ],
+    ids=["chi-star max-k 0", "chi-list max-k -2", "scan size -1", "scan max-k 0"],
+)
+def test_a_bound_below_one_is_an_input_error(tmp_path, capsys, argv):
+    # No value can be certified below 1, so no negative could carry a witness.
+    k3 = write(tmp_path, "k3.col", K3_COL)
+    cert = tmp_path / "cert.json"
+    argv = [arg.format(k3=k3) for arg in argv]
+    if argv[0] != "scan":
+        argv += ["-o", str(cert)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "STATUS=error VALUE="
+    assert "at least 1" in captured.err
+    assert not cert.exists()
 
 
 def test_verify_accepts_every_pack_complete_output(tmp_path, capsys):

@@ -5,11 +5,8 @@ import time
 import pytest
 
 from listpacking import (
-    Atom,
-    EdgeOf,
     Graph,
     NotBipartiteError,
-    Pair,
     bipartition,
     cartesian_product,
     complete_bipartite,
@@ -58,7 +55,7 @@ def test_cartesian_product_identity_factor():
     h = path_graph(4)
     prod = cartesian_product(complete_graph(1), h)
     assert prod.edges == h.edges
-    assert prod.label(2) == Pair(Atom(1), Atom(2))
+    assert prod == h
 
 
 def test_cartesian_product_prism():
@@ -90,15 +87,14 @@ def test_line_graph_small():
 
 
 def test_line_graph_of_k22_is_the_product_square():
-    # Adjacency-identical to K_2 box K_2 under EdgeOf(x_i, y_j) -> Pair(i, j).
+    # Identical to K_2 box K_2, with edge x_i y_j as product vertex (i, j).
     k22, _ = complete_bipartite(2, 2)
     lg = line_graph(k22)
     prod = cartesian_product(complete_graph(2), complete_graph(2))
-    assert lg.edges == prod.edges
+    assert lg == prod
     for v in lg.vertices():
-        lab = lg.label(v)
-        assert isinstance(lab, EdgeOf)
-        assert prod.label(v) == Pair(Atom(lab.u), Atom(lab.v - 2))
+        i, j = product_coords(v, 2)
+        assert k22.edges[v - 1] == (i, 2 + j)
 
 
 def test_line_graph_product_identity_all_small_sizes():
@@ -107,10 +103,10 @@ def test_line_graph_product_identity_all_small_sizes():
             knm, _ = complete_bipartite(n, m)
             lg = line_graph(knm)
             prod = cartesian_product(complete_graph(n), complete_graph(m))
-            assert lg.edges == prod.edges
+            assert lg == prod
             for v in lg.vertices():
-                lab = lg.label(v)
-                assert prod.label(v) == Pair(Atom(lab.u), Atom(lab.v - n))
+                i, j = product_coords(v, m)
+                assert knm.edges[v - 1] == (i, n + j)
 
 
 def test_bipartition_builds_expected_classes():
@@ -163,7 +159,7 @@ def test_constructors_are_deterministic():
     assert complete_bipartite(2, 3) == complete_bipartite(2, 3)
     a = cartesian_product(complete_graph(3), complete_graph(2))
     b = cartesian_product(complete_graph(3), complete_graph(2))
-    assert a == b and a.labels == b.labels
+    assert a == b and hash(a) == hash(b)
 
 
 def test_from_edges_validation():
