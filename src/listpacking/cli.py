@@ -33,6 +33,7 @@ from .packing import PackRequest, pack_complete
 from .search import (
     ABSENT,
     FOUND,
+    MAX_CHI_STAR_VERTICES,
     BoundExceededError,
     SearchBudget,
     SearchExhaustedError,
@@ -181,6 +182,8 @@ def cmd_chi_star(args) -> int:
 def cmd_scan(args) -> int:
     if args.size < 1:
         raise ValueError(f"--size must be at least 1, got {args.size}")
+    if args.size > MAX_CHI_STAR_VERTICES:
+        raise ValueError(f"graph too large for exact packing scans: {args.size} vertices")
     budget = _budget(args)
     rows = []
     for n in range(1, args.size + 1):
@@ -227,8 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=about)
         p.set_defaults(func=func)
         if budgets:
-            p.add_argument("--budget-nodes", type=int, default=2_000_000)
-            p.add_argument("--budget-seconds", type=float, default=60.0)
+            p.add_argument("--budget-nodes", type=int, default=SearchBudget.node_limit)
+            p.add_argument("--budget-seconds", type=float, default=SearchBudget.time_limit)
         if output:
             p.add_argument("-o", "--output", default=None, help="output file path")
         return p

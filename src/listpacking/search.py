@@ -24,6 +24,12 @@ list but the last, so the scan keeps the last packing it found on vertices
 1..n-1 and re-fits vertex n alone, by a row-color matching that spends one
 search node.  Only when that fails does a cold search run, and only a cold
 search may report a packing absent.
+
+Running out of budget has one route out.  The internals return plain
+values (a packing or None, a bad assignment or None) and raise when their
+ticker runs dry; each public entry converts that once: `solve_packing` and
+`find_bad_assignment` report EXHAUSTED, and the exact numbers raise
+`SearchExhaustedError` naming the level they were deciding.
 """
 
 from __future__ import annotations
@@ -149,24 +155,26 @@ def solve_packing(
     _require_domains(g, ell)
     if any(len(ell[v]) < k for v in g.vertices()):
         raise ValueError(f"every list needs at least k={k} colors")
-    return _solve_packing(g, ell, k, _Ticker(budget or SearchBudget()))
-
-
-def _solve_packing(g: Graph, ell: ListAssignment, k: int, ticker: _Ticker) -> SearchResult:
-    """solve_packing on a given ticker, lists already checked; `nodes` is
-    the ticker's total."""
-    colors, ranks = _rank_colors(g, ell)
+    ticker = _Ticker(budget or SearchBudget())
     try:
-        rows = _packing_search(g, colors, ranks, 1, ticker)
-        if rows is not None and k > 1:
-            rows = _packing_search(g, colors, ranks, k, ticker)
+        packing = _solve_packing(g, ell, k, ticker)
     except _BudgetHit:
         return SearchResult(EXHAUSTED, nodes=ticker.nodes)
+    return SearchResult(ABSENT if packing is None else FOUND, packing, ticker.nodes)
+
+
+def _solve_packing(g: Graph, ell: ListAssignment, k: int, ticker: _Ticker) -> Packing | None:
+    """solve_packing on a given ticker, lists already checked: the packing,
+    or None when there is none.  Raises _BudgetHit when the ticker runs out."""
+    colors, ranks = _rank_colors(g, ell)
+    rows = _packing_search(g, colors, ranks, 1, ticker)
+    if rows is not None and k > 1:
+        rows = _packing_search(g, colors, ranks, k, ticker)
     if rows is None:
-        return SearchResult(ABSENT, nodes=ticker.nodes)
+        return None
     packing = Packing(rows)
     assert is_proper_packing(g, ell, packing).ok
-    return SearchResult(FOUND, witness=packing, nodes=ticker.nodes)
+    return packing
 
 
 @lru_cache(maxsize=1024)
@@ -444,43 +452,39 @@ def enumerate_canonical_assignments(g: Graph, k: int):
         yield ListAssignment({v: frozenset(lists[v - 1]) for v in g.vertices()})
 
 
-@dataclass(frozen=True)
-class _Scan:
-    """One pass over the canonical k-assignments: `bad` is the first one the
-    solver found no solution for (None when every one has one), `scanned`
-    counts the color-renaming classes the assignments handed to the solver
-    stand for, and `stalled` is the exhaustion message when the budget ran
-    out first."""
-
-    bad: ListAssignment | None
-    scanned: int
-    stalled: str | None = None
-
-
 def _scan(
-    g: Graph, k: int, decide, ticker: _Ticker, group: Sequence[tuple[int, ...]] | None = None
-) -> _Scan:
-    """Run `decide` on the lex-least canonical k-assignment of each class
-    under color renaming and `group` (see `_iter_canonical`), in enumeration
-    order, until one comes back absent.  Whether a packing or coloring
-    exists is invariant under both, so the first absent one is the same as
-    in the scan without `group`.  `decide` spends from `ticker`, whose
-    deadline is also checked before each assignment.  Every scan here passes
-    the warm-started `_packing_decider`, at k = 1 for list colorings: a
-    re-fit of the last vertex, one node each, with a cold `_solve_packing`
-    on a miss."""
+    g: Graph, k: int, size: int, ticker: _Ticker, group: Sequence[tuple[int, ...]] | None = None
+) -> tuple[ListAssignment | None, int]:
+    """Of the lex-least canonical k-assignments, one per class under color
+    renaming and `group` (see `_iter_canonical`), the first in enumeration
+    order with no packing of the given size (1 for list colorings), or None;
+    and the color-renaming classes the assignments tried stand for.  Packability
+    is invariant under both, so the first bad one is the same as without
+    `group`.  Consecutive assignments mostly differ in the last list only,
+    so the last packing found is re-fitted at vertex n first, and a cold
+    `_solve_packing`, the only one that may find none, runs on a miss.
+    Raises SearchExhaustedError when `ticker` runs out, its deadline checked
+    before each assignment too."""
     scanned = 0
+    rows: tuple[Coloring, ...] | None = None  # the last packing found
     for lists, orbit in _iter_canonical(g.n, k, group):
         if time.monotonic() > ticker.deadline:
-            return _Scan(None, scanned, f"budget exhausted scanning {k}-assignments")
+            raise SearchExhaustedError(f"budget exhausted scanning {k}-assignments")
         scanned += orbit
         ell = ListAssignment({v: frozenset(lists[v - 1]) for v in g.vertices()})
-        result = decide(ell)
-        if result.status == EXHAUSTED:
-            return _Scan(None, scanned, f"budget exhausted on a {k}-assignment")
-        if result.status == ABSENT:
-            return _Scan(ell, scanned)
-    return _Scan(None, scanned)
+        try:
+            if rows is not None:
+                rows = _refit_last_vertex(g, ell, rows, ticker)
+            if rows is not None:
+                assert is_proper_packing(g, ell, Packing(rows)).ok
+            else:
+                packing = _solve_packing(g, ell, size, ticker)
+                if packing is None:
+                    return ell, scanned
+                rows = packing.rows
+        except _BudgetHit:
+            raise SearchExhaustedError(f"budget exhausted on a {k}-assignment") from None
+    return None, scanned
 
 
 def _refit_last_vertex(
@@ -516,33 +520,6 @@ def _refit_last_vertex(
     return None
 
 
-def _packing_decider(g: Graph, k: int, ticker: _Ticker):
-    """The `decide` of a packing scan.  Consecutive canonical assignments
-    mostly differ in the last list only, so before any cold solve the last
-    packing found is re-fitted at vertex n.  Only the cold _solve_packing
-    may return absent, which keeps the scan's first absent assignment."""
-    previous: tuple[Coloring, ...] | None = None
-
-    def decide(ell: ListAssignment) -> SearchResult:
-        nonlocal previous
-        if previous is not None:
-            try:
-                rows = _refit_last_vertex(g, ell, previous, ticker)
-            except _BudgetHit:
-                return SearchResult(EXHAUSTED, nodes=ticker.nodes)
-            if rows is not None:
-                packing = Packing(rows)
-                assert is_proper_packing(g, ell, packing).ok
-                previous = rows
-                return SearchResult(FOUND, witness=packing, nodes=ticker.nodes)
-        result = _solve_packing(g, ell, k, ticker)
-        if result.status == FOUND:
-            previous = result.witness.rows
-        return result
-
-    return decide
-
-
 def find_bad_assignment(
     g: Graph, k: int, budget: SearchBudget | None = None
 ) -> SearchResult:
@@ -550,11 +527,11 @@ def find_bad_assignment(
     proper packing of size k, or absent when every one packs.  The budget
     bounds the whole scan."""
     ticker = _Ticker(budget or SearchBudget())
-    scan = _scan(g, k, _packing_decider(g, k, ticker), ticker)
-    if scan.stalled:
+    try:
+        bad, _ = _scan(g, k, k, ticker)
+    except SearchExhaustedError:
         return SearchResult(EXHAUSTED, nodes=ticker.nodes)
-    status = ABSENT if scan.bad is None else FOUND
-    return SearchResult(status, witness=scan.bad, nodes=ticker.nodes)
+    return SearchResult(ABSENT if bad is None else FOUND, bad, ticker.nodes)
 
 
 MAX_CHI_VERTICES = 20
@@ -571,11 +548,11 @@ def chromatic_number(g: Graph, budget: SearchBudget | None = None) -> int:
     ticker = _Ticker(budget or SearchBudget())
     for t in range(1, g.n + 1):
         ell = ListAssignment({v: frozenset(range(1, t + 1)) for v in g.vertices()})
-        result = _solve_packing(g, ell, 1, ticker)
-        if result.status == EXHAUSTED:
-            raise SearchExhaustedError(f"budget exhausted deciding {t}-colorability")
-        if result.status == FOUND:
-            return t
+        try:
+            if _solve_packing(g, ell, 1, ticker) is not None:
+                return t
+        except _BudgetHit:
+            raise SearchExhaustedError(f"budget exhausted deciding {t}-colorability") from None
     raise AssertionError("unreachable: n colors always suffice")
 
 
@@ -626,12 +603,10 @@ def list_chromatic_number(
     for k in range(1, k_max + 1):
         if k >= greedy:
             return ChiListResult(k, witness)
-        scan = _scan(g, k, _packing_decider(g, 1, ticker), ticker)
-        if scan.stalled:
-            raise SearchExhaustedError(scan.stalled)
-        if scan.bad is None:
+        bad, _ = _scan(g, k, 1, ticker)
+        if bad is None:
             return ChiListResult(k, witness)
-        witness = scan.bad
+        witness = bad
     raise BoundExceededError(k_max, witness)
 
 
@@ -654,10 +629,8 @@ def list_packing_number(
     group = _automorphisms(g)
     witness: ListAssignment | None = None
     for k in range(1, k_max + 1):
-        scan = _scan(g, k, _packing_decider(g, k, ticker), ticker, group)
-        if scan.stalled:
-            raise SearchExhaustedError(scan.stalled)
-        if scan.bad is None:
-            return ChiStarResult(k, witness, scan.scanned)
-        witness = scan.bad
+        bad, scanned = _scan(g, k, k, ticker, group)
+        if bad is None:
+            return ChiStarResult(k, witness, scanned)
+        witness = bad
     raise BoundExceededError(k_max, witness)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from listpacking import cartesian_product, complete_bipartite, complete_graph
+from listpacking import SearchBudget, cartesian_product, cli, complete_bipartite, complete_graph
 from listpacking.cli import build_parser, main
 from listpacking.formats import (
     FormatError,
@@ -408,6 +408,22 @@ def test_scan_command_reports_a_hit_bound(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "STATUS=negative VALUE="
     assert out[1] == "K_2: chi_list or chi_star exceeds the bound 1"
+
+
+def test_scan_checks_its_size_cap_before_any_row(capsys, monkeypatch):
+    def no_rows(*args):
+        pytest.fail("scan computed a row for a size it rejects")
+
+    monkeypatch.setattr(cli, "chromatic_number", no_rows)
+    assert main(["scan", "--size", "5", "--max-k", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "STATUS=error VALUE="
+    assert "graph too large for exact packing scans: 5 vertices" in captured.err
+
+
+def test_budget_flags_default_to_the_search_budget_defaults():
+    args = build_parser().parse_args(["chi-star", "--graph", "g.col", "--max-k", "4"])
+    assert cli._budget(args) == SearchBudget()
 
 
 @pytest.mark.parametrize(

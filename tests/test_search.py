@@ -4,7 +4,8 @@ import hashlib
 import random
 import time
 from collections import Counter
-from itertools import combinations, permutations, product
+from itertools import combinations, count, permutations, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -345,8 +346,15 @@ def test_find_bad_assignment_k4():
 
 def _cold_scan(g, k, ticker, size):
     """The scan of k-assignments without a warm start: a cold solve per
-    assignment for a packing of the given size (1 for list colorings)."""
-    return search._scan(g, k, lambda ell: search._solve_packing(g, ell, size, ticker), ticker)
+    color-renaming class for a packing of the given size (1 for list
+    colorings), up to the first class with none."""
+    scanned = 0
+    for lists, _ in search._iter_canonical(g.n, k):
+        scanned += 1
+        ell = ListAssignment({v: frozenset(lists[v - 1]) for v in g.vertices()})
+        if search._solve_packing(g, ell, size, ticker) is None:
+            return SimpleNamespace(bad=ell, scanned=scanned)
+    return SimpleNamespace(bad=None, scanned=scanned)
 
 
 def _cold_levels(g, packing: bool):
@@ -358,7 +366,6 @@ def _cold_levels(g, packing: bool):
     witness = None
     for k in range(1, 5):
         scan = _cold_scan(g, k, ticker, k if packing else 1)
-        assert scan.stalled is None
         if scan.bad is None:
             return k, witness, scan.scanned
         witness = scan.bad
@@ -392,6 +399,21 @@ def test_automorphism_groups_have_the_expected_orders():
         for p in group:
             image = sorted(tuple(sorted((p[u - 1] + 1, p[v - 1] + 1))) for u, v in g.edges)
             assert image == list(g.edges)
+
+
+def test_a_passed_deadline_stops_a_scan_before_its_first_assignment(monkeypatch):
+    # Each clock reading is 1000 s after the last, so the 60 s deadline set
+    # when the ticker starts has passed by the check before the first
+    # assignment, whatever the resolution of the real clock.
+    clock = count(0.0, 1000.0)
+    monkeypatch.setattr(search.time, "monotonic", lambda: next(clock))
+    k4 = complete_graph(4)
+    with pytest.raises(SearchExhaustedError, match="scanning 1-assignments"):
+        list_packing_number(k4, 4, SearchBudget())
+    with pytest.raises(SearchExhaustedError, match="scanning 1-assignments"):
+        list_chromatic_number(k4, 4, SearchBudget())
+    result = find_bad_assignment(k4, 2, SearchBudget())
+    assert result.status == EXHAUSTED and result.nodes == 0
 
 
 def test_the_quotient_scan_spends_the_budget():
