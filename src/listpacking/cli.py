@@ -37,6 +37,7 @@ from .search import (
     BoundExceededError,
     SearchBudget,
     SearchExhaustedError,
+    _Ticker,
     chromatic_number,
     list_chromatic_number,
     list_packing_number,
@@ -184,15 +185,15 @@ def cmd_scan(args) -> int:
         raise ValueError(f"--size must be at least 1, got {args.size}")
     if args.size > MAX_CHI_STAR_VERTICES:
         raise ValueError(f"graph too large for exact packing scans: {args.size} vertices")
-    budget = _budget(args)
+    ticker = _Ticker(_budget(args))  # one allowance for the whole table
     rows = []
     for n in range(1, args.size + 1):
         g = complete_graph(n)
-        chi = chromatic_number(g, budget)
+        chi = chromatic_number(g, ticker=ticker)
         k_max = n if args.max_k is None else args.max_k
         try:
-            chi_list = list_chromatic_number(g, k_max, budget).value
-            chi_star = list_packing_number(g, k_max, budget).value
+            chi_list = list_chromatic_number(g, k_max, ticker=ticker).value
+            chi_star = list_packing_number(g, k_max, ticker=ticker).value
         except BoundExceededError as exc:
             _verdict("negative")
             print(f"K_{n}: chi_list or chi_star exceeds the bound {exc.bound}")

@@ -7,7 +7,10 @@ The list-packing scans also quotient by Aut(G): the same walk yields the
 lex-least assignment of each class under automorphisms and color renaming,
 prunes a prefix that an automorphism fixing its vertices maps to something
 smaller, and weighs each by the renaming classes it stands for, |Aut(G)|
-over its stabilizer (332 assignments for 4079 on K_4 at k = 4).
+over its stabilizer (332 assignments for 4079 on K_4 at k = 4).  It never
+builds an image's canonical form: it compares the sizes of the
+intersections of the lists, read in an order in which the larger reading
+is the lex-smaller form, through one itemgetter per image prefix.
 
 Everything here is deliberately dumb and deterministic: fixed vertex order,
 sorted color order, no heuristics.  "absent" always means a completed search;
@@ -38,7 +41,8 @@ import time
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import compress, permutations, product
+from operator import itemgetter
 
 from .coloring import (
     Coloring,
@@ -310,15 +314,32 @@ def solve_packing_via_lift(
 # lists of any extension go the same way, and the canonical form of a list
 # sequence restricted to its first i lists is the canonical form of those
 # lists.  So if some such s gives a canonical image smaller than P, no
-# extension of P is lex-least and the walk prunes P.  A two-list canonical
-# form depends only on the overlap, so prefixes of length <= 2 are not
-# tested, except as leaves.  A leaf is tested against the whole group: the
-# number of s whose canonical image equals the leaf is the order of its
-# stabilizer, and the leaf stands for |group| / |stabilizer| renaming classes.
+# extension of P is lex-least and the walk prunes P.
+#
+# Canonical forms are compared without building them, through the
+# intersection sizes I(S), the number of colors common to the lists at the
+# positions in S: an invariant compared first, as in McKay and Piperno,
+# "Practical graph isomorphism, II" (2014).  Read I by depth j, the largest
+# position in S, and within a depth by the other positions 1, 2, ..., j-1
+# in turn, a set holding the position first: the order of the color classes
+# after lists 1..j-1.  Canonical list j takes a_T colors from the class of
+# the colors in exactly the lists T, and I({j} + T) is the sum of a_U over
+# the U containing T, all of which come no later.  So once the lower depths
+# tie, depth j compares as canonical list j does, the larger reading being
+# the smaller list.  Depth 1 always reads (k) and is skipped.  The image
+# under s reads I(s(S)), so the walk keeps the prefix's sizes up to date,
+# 2^(j-1) ANDs for list j, and reads an image's depth j with one
+# `itemgetter` per image prefix s(1..j).  These readers form a prefix tree,
+# built once per group, and one depth decides a whole subtree unless it
+# ties.  A two-list canonical form depends only on the overlap, so prefixes
+# of length <= 2 are not tested, except as leaves.  A leaf is tested
+# against the whole group: the number of s whose image reads the same as
+# the leaf is the order of its stabilizer, and the leaf stands for
+# |group| / |stabilizer| renaming classes.
 #
 # Lists and classes are bitmasks, color c at bit n*k - c, so that each class
 # is a run of bits and of two k-lists the larger mask is the smaller sorted
-# tuple.
+# tuple, and sizes are indexed by S, position j at bit j - 1.
 # ---------------------------------------------------------------------------
 
 
@@ -348,50 +369,66 @@ def _automorphisms(g: Graph) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _trie(perms: list[tuple[int, ...]]) -> tuple:
-    """Permutations of one length as a prefix tree: a node is a tuple of
-    (entry, child) pairs in first-seen order, and a leaf is ()."""
-    heads = dict.fromkeys(p[0] for p in perms if p)
-    return tuple((h, _trie([p[1:] for p in perms if p[0] == h])) for h in heads)
-
-
-def _meet(blocks: list[int], mask: int, width: int) -> tuple[int, list[int]]:
-    """The canonical form of the list `mask` after lists whose colors fall
-    into the classes `blocks`, in order: it takes the first colors of every
-    class it meets.  Also the classes split by the list."""
-    row, top, refined = 0, width, []
+def _meet(blocks: list[int], mask: int) -> list[int]:
+    """The color classes `blocks` split by the list `mask`, in order: each
+    class it cuts becomes its part inside the list, then its part outside."""
+    refined = []
     for block in blocks:
         inside = block & mask
-        if inside:
-            c = inside.bit_count()
-            row |= ((1 << c) - 1) << (top - c)
-            refined.append(inside)
-            if inside != block:
-                refined.append(block ^ inside)
+        if inside and inside != block:
+            refined += (inside, block ^ inside)
         else:
             refined.append(block)
-        top -= block.bit_count()
-    return row, refined
+    return refined
 
 
-def _stabilizer(rows: list[int], node: tuple, width: int, j: int, blocks: list[int]) -> int | None:
-    """Compare with the prefix, list by list as masks, the canonical form of
-    its image under each permutation p in the prefix-tree node `node` at
-    depth j: image list j is the prefix's list p[j], and `blocks` are the
-    image's color classes after its first j lists.  None when some image is
-    smaller, else the number of images equal to the prefix.  Permutations
-    that share their first j + 1 entries share the first j + 1 rows, so one
-    row decides a whole subtree unless it ties."""
+def _reader(image: tuple[int, ...]) -> itemgetter:
+    """The reader of depth j = len(image) - 1, counted from 0 like positions,
+    of the image whose list t is the prefix's list image[t]: off the
+    prefix's sizes, those of list image[j] with each subset of image[:j],
+    in the order above."""
+    *head, last = image
+    subsets = product((1, 0), repeat=len(head))
+    return itemgetter(*(sum(1 << t for t in compress(head, b)) | 1 << last for b in subsets))
+
+
+@lru_cache(maxsize=64)
+def _movers(n: int, group: tuple[tuple[int, ...], ...]) -> tuple[tuple, ...]:
+    """Per prefix length i, the distinct non-identity restrictions to 0..i-1
+    of the permutations in `group` that map 0..i-1 onto itself, all of them
+    at i = n and none at other i <= 2, as a prefix tree of their readers
+    from depth 1: a node is a tuple of (reader, child) pairs, a leaf ()."""
+
+    def trie(perms: list[tuple[int, ...]], j: int) -> tuple:
+        heads = dict.fromkeys(p[: j + 1] for p in perms if len(p) > j)
+        return tuple(
+            (_reader(h), trie([p for p in perms if p[: j + 1] == h], j + 1)) for h in heads
+        )
+
+    return tuple(
+        trie(list(dict.fromkeys(p[:i] for p in group if all(t < i for t in p[:i])))[1:], 1)
+        if i > 2 or i == n
+        else ()
+        for i in range(n + 1)
+    )
+
+
+def _stabilizer(sizes: list[int], node: tuple, own: list, j: int) -> int | None:
+    """Compare the prefix's reading at depth j, by its own reader `own[j]`,
+    and then deeper, with that of its image under each permutation in the
+    prefix-tree node `node`.  None when some image reads larger, so is
+    smaller, else the number of images that read the same."""
+    mine = own[j](sizes)
     equal = 0
-    for i, child in node:
-        row, refined = _meet(blocks, rows[i], width)
-        if row > rows[j]:
+    for read, child in node:
+        image = read(sizes)
+        if image > mine:
             return None
-        if row == rows[j]:
+        if image == mine:
             if not child:
                 equal += 1
                 continue
-            below = _stabilizer(rows, child, width, j + 1, refined)
+            below = _stabilizer(sizes, child, own, j + 1)
             if below is None:
                 return None
             equal += below
@@ -404,34 +441,37 @@ def _iter_canonical(n: int, k: int, group: Sequence[tuple[int, ...]] | None = No
     group, identity first, in `_automorphisms` form; None for the trivial
     group), lazily, in lexicographic order of their flattened forms.  Each
     comes with the number of color-renaming classes its class holds."""
-    group = group or (tuple(range(n)),)
+    group = tuple(group or (tuple(range(n)),))
+    symmetric = len(group) > 1
     width = n * k
     all_colors = [(1 << width) - 1]
-    # Per prefix length i, the distinct non-identity restrictions to 1..i of
-    # the permutations that map 1..i onto itself, all of them at the leaves,
-    # as a prefix tree.
-    movers = [
-        _trie(list(dict.fromkeys(p[:i] for p in group if all(j < i for j in p[:i])))[1:])
-        if i > 2 or i == n
-        else ()
-        for i in range(n + 1)
-    ]
+    movers = _movers(n, group)
+    own = [None] + [_reader(tuple(range(j + 1))) for j in range(1, n)]
+    # The AND of the prefix's lists at each position set, and its size; kept
+    # for a nontrivial group only.
+    inter = all_colors * (1 << n)
+    sizes = [0] * (1 << n)
     prefix: list[tuple[int, ...]] = []
-    rows: list[int] = []
 
     def walk(blocks: list[int]):
+        i = len(prefix)
+        node, low, high = movers[i + 1], 1 << i, 2 << i
         for mask in _canonical_lists(blocks, k):
+            equal = 0
+            if symmetric:
+                sizes[low:high] = [(meet & mask).bit_count() for meet in inter[:low]]
+                if node:
+                    equal = _stabilizer(sizes, node, own, 1)
+                    if equal is None:
+                        continue
             prefix.append(tuple(width - b for b in range(width - 1, -1, -1) if mask >> b & 1))
-            rows.append(mask)
-            node = movers[len(rows)]
-            equal = _stabilizer(rows, node, width, 0, all_colors) if node else 0
-            if equal is not None:
-                if len(rows) == n:
-                    yield tuple(prefix), len(group) // (1 + equal)
-                else:
-                    yield from walk(_meet(blocks, mask, width)[1])
+            if i + 1 == n:
+                yield tuple(prefix), len(group) // (1 + equal)
+            else:
+                if symmetric:
+                    inter[low:high] = [meet & mask for meet in inter[:low]]
+                yield from walk(_meet(blocks, mask))
             prefix.pop()
-            rows.pop()
 
     try:
         if n == 0:
@@ -537,15 +577,17 @@ def find_bad_assignment(
 MAX_CHI_VERTICES = 20
 
 
-def chromatic_number(g: Graph, budget: SearchBudget | None = None) -> int:
+def chromatic_number(
+    g: Graph, budget: SearchBudget | None = None, *, ticker: _Ticker | None = None
+) -> int:
     """Least t admitting a proper coloring from constant lists 1..t, so 0
     on the graph without vertices.  The budget bounds all the searches
-    together."""
+    together; a `ticker` passed in its place is shared with other calls."""
     if g.n > MAX_CHI_VERTICES:
         raise ValueError(f"graph too large for exact search: {g.n} vertices")
     if g.n == 0:
         return 0
-    ticker = _Ticker(budget or SearchBudget())
+    ticker = ticker or _Ticker(budget or SearchBudget())
     for t in range(1, g.n + 1):
         ell = ListAssignment({v: frozenset(range(1, t + 1)) for v in g.vertices()})
         try:
@@ -586,18 +628,19 @@ def coloring_number(g: Graph) -> int:
 
 
 def list_chromatic_number(
-    g: Graph, k_max: int, budget: SearchBudget | None = None
+    g: Graph, k_max: int, budget: SearchBudget | None = None, *, ticker: _Ticker | None = None
 ) -> ChiListResult:
     """Least k <= k_max such that every k-assignment is colorable, with the
     bad (k-1)-assignment that certifies minimality.
 
     The scan over canonical assignments runs only for k below the greedy
     bound; at k >= coloring_number(g) colorability is certain without it.
-    The budget bounds all the scans together.
+    The budget bounds all the scans together; a `ticker` passed in its
+    place is shared with other calls.
     """
     if k_max < 1:  # no k <= k_max to scan, so a negative would have no witness
         raise ValueError(f"the bound k_max must be at least 1, got {k_max}")
-    ticker = _Ticker(budget or SearchBudget())
+    ticker = ticker or _Ticker(budget or SearchBudget())
     greedy = coloring_number(g)
     witness: ListAssignment | None = None
     for k in range(1, k_max + 1):
@@ -614,18 +657,18 @@ MAX_CHI_STAR_VERTICES = 4
 
 
 def list_packing_number(
-    g: Graph, k_max: int, budget: SearchBudget | None = None
+    g: Graph, k_max: int, budget: SearchBudget | None = None, *, ticker: _Ticker | None = None
 ) -> ChiStarResult:
     """Least k <= k_max such that every canonical k-assignment admits a
     proper packing of size k, by a full scan at every level up to Aut(g):
     one assignment per class under color renaming and automorphisms, which
     stands for every renaming class in it.  The budget bounds all the scans
-    together."""
+    together; a `ticker` passed in its place is shared with other calls."""
     if k_max < 1:  # no k <= k_max to scan, so a negative would have no witness
         raise ValueError(f"the bound k_max must be at least 1, got {k_max}")
     if g.n > MAX_CHI_STAR_VERTICES:
         raise ValueError(f"graph too large for exact packing scans: {g.n} vertices")
-    ticker = _Ticker(budget or SearchBudget())
+    ticker = ticker or _Ticker(budget or SearchBudget())
     group = _automorphisms(g)
     witness: ListAssignment | None = None
     for k in range(1, k_max + 1):

@@ -410,6 +410,15 @@ def test_scan_command_reports_a_hit_bound(capsys):
     assert out[1] == "K_2: chi_list or chi_star exceeds the bound 1"
 
 
+def test_scan_node_budget_bounds_the_whole_table(capsys):
+    # The rows K_1..K_3 need at least 69 nodes between them: 60 is too few
+    # for the table, though each row alone fits.
+    assert main(["scan", "--size", "3", "--budget-nodes", "60"]) == 3
+    assert capsys.readouterr().out.splitlines()[0] == "STATUS=exhausted VALUE="
+    assert main(["scan", "--size", "3", "--budget-nodes", "69"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "STATUS=ok VALUE=3"
+
+
 def test_scan_checks_its_size_cap_before_any_row(capsys, monkeypatch):
     def no_rows(*args):
         pytest.fail("scan computed a row for a size it rejects")

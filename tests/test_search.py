@@ -462,6 +462,75 @@ def test_symmetry_walk_keeps_the_first_assignment_of_each_class():
         assert list(search._iter_canonical(g.n, k, group)) == expected, (g.edges, k)
 
 
+def _intersection_key(lists):
+    """The intersection sizes of a list sequence: for each depth j >= 1
+    (0-based), |L_j & the lists at T| for every T within 0..j-1, ordered
+    by whether T holds 0, holders first, then by whether it holds 1, and
+    so on, so the empty T comes last."""
+    sets = [set(colors) for colors in lists]
+    key = []
+    for j in range(1, len(sets)):
+        subsets = [T for size in range(j + 1) for T in combinations(range(j), size)]
+        for T in sorted(subsets, key=lambda T: [t not in T for t in range(j)]):
+            key.append(len(sets[j].intersection(*(sets[t] for t in T))))
+    return tuple(key)
+
+
+def test_intersection_sizes_order_canonical_forms():
+    # Without the symmetry walk: a larger key is a lex-smaller canonical
+    # form, and an image's key is read off the original's sizes.
+    for n in range(1, 5):
+        perms = list(permutations(range(n)))
+        readers = {p: [search._reader(p[: j + 1]) for j in range(1, n)] for p in perms}
+        for k in range(1, 4):
+            reps = [lists for lists, _ in search._iter_canonical(n, k)]
+            keys = [_intersection_key(lists) for lists in reps]
+            assert sorted(reps, key=_intersection_key, reverse=True) == reps, (n, k)
+            assert len(set(keys)) == len(keys), (n, k)
+            for lists in reps:
+                sizes = [
+                    len(set.intersection(*(set(lists[t]) for t in range(n) if S >> t & 1)))
+                    if S
+                    else 0
+                    for S in range(1 << n)
+                ]
+                for p in perms:
+                    read = sum((reader(sizes) for reader in readers[p]), ())
+                    assert read == _intersection_key([lists[t] for t in p]), (lists, p)
+
+
+def test_symmetry_walk_at_five_vertices():
+    # One level deeper than the graphs on 4 vertices, with |Aut| up to 120.
+    graphs = [
+        complete_graph(5),
+        cycle_graph(5),
+        complete_bipartite(2, 3)[0],
+        Graph.from_edges(5, []),
+    ]
+    for g in graphs:
+        group = search._automorphisms(g)
+        for k in range(1, 4):
+            reps = list(search._iter_canonical(g.n, k, group))
+            assert len(reps) == burnside_count(g.n, k, group), (g.edges, k)
+            assert sum(orbit for _, orbit in reps) == orbit_count(g.n, k), (g.edges, k)
+
+
+def test_symmetry_walk_keeps_the_first_assignment_of_each_class_on_k5():
+    # The first-of-class oracle of the test on 4 vertices, on K_5 at k = 2.
+    g, k = complete_graph(5), 2
+    group = search._automorphisms(g)
+    first: dict[tuple, list] = {}
+    for lists, _ in search._iter_canonical(g.n, k):
+        counts = _renaming_class(lists)
+        key = min(
+            tuple(sorted((tuple(sorted(p[v] for v in s)), a) for s, a in counts.items()))
+            for p in group
+        )
+        first.setdefault(key, [lists, 0])[1] += 1
+    expected = [tuple(entry) for entry in first.values()]
+    assert list(search._iter_canonical(g.n, k, group)) == expected
+
+
 def test_scan_refits_spend_budget():
     # The K_4 scan at k = 4 takes 4693 nodes, almost all of them re-fits.
     k4 = complete_graph(4)
