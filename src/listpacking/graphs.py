@@ -75,10 +75,12 @@ class Graph:
         return frozenset(self.edges)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
+        if not 0 < v <= self.n:
+            raise ValueError(f"vertex {v} out of range 1..{self.n}")
         return self._adjacency[v - 1]
 
     def degree(self, v: int) -> int:
-        return len(self._adjacency[v - 1])
+        return len(self.neighbors(v))
 
     def max_degree(self) -> int:
         return max((len(ns) for ns in self._adjacency), default=0)

@@ -25,8 +25,12 @@ Every scan is warm-started, the list-chromatic one included (it is the
 packing scan at k = 1): consecutive canonical assignments mostly share every
 list but the last, so the scan keeps the last packing it found on vertices
 1..n-1 and re-fits vertex n alone, by a row-color matching that spends one
-search node.  Only when that fails does a cold search run, and only a cold
-search may report a packing absent.
+search node.  What that matching needs of the kept rows, the colors of n's
+neighbours per row and whether the rows lie in lists 1..n-1, is computed
+once per prefix of lists and rows, not per assignment.  Only when the
+re-fit fails does a cold search run, and only a cold search may report a
+packing absent.  Every packing, re-fitted or cold, gets the full
+`is_proper_packing` check.
 
 Running out of budget has one route out.  The internals return plain
 values (a packing or None, a bad assignment or None) and raise when their
@@ -501,63 +505,79 @@ def _scan(
     and the color-renaming classes the assignments tried stand for.  Packability
     is invariant under both, so the first bad one is the same as without
     `group`.  Consecutive assignments mostly differ in the last list only,
-    so the last packing found is re-fitted at vertex n first, and a cold
-    `_solve_packing`, the only one that may find none, runs on a miss.
-    Raises SearchExhaustedError when `ticker` runs out, its deadline checked
-    before each assignment too."""
-    scanned = 0
+    so the last packing found is re-fitted in place at vertex n first; what
+    the re-fit reads of the rows on 1..n-1 (`_refit_state`) is recomputed
+    only when lists 1..n-1 change or a cold `_solve_packing`, the only
+    search that may find no packing, replaces the rows.  Every packing gets
+    the full `is_proper_packing` check.  Raises SearchExhaustedError when
+    `ticker` runs out, its deadline checked before each assignment too."""
+    n, scanned = g.n, 0
     rows: tuple[Coloring, ...] | None = None  # the last packing found
-    for lists, orbit in _iter_canonical(g.n, k, group):
+    head: tuple | None = None  # the lists 1..n-1 that `used` was computed for
+    used: dict[int, int] | None = None
+    for lists, orbit in _iter_canonical(n, k, group):
         if time.monotonic() > ticker.deadline:
             raise SearchExhaustedError(f"budget exhausted scanning {k}-assignments")
         scanned += orbit
         ell = ListAssignment({v: frozenset(lists[v - 1]) for v in g.vertices()})
         try:
             if rows is not None:
-                rows = _refit_last_vertex(g, ell, rows, ticker)
+                if lists[:-1] != head:
+                    head, used = lists[:-1], _refit_state(g, ell, rows)
+                if used is None or not _refit_last_vertex(rows, n, lists[-1], used, ticker):
+                    rows = None
             if rows is not None:
                 assert is_proper_packing(g, ell, Packing(rows)).ok
             else:
                 packing = _solve_packing(g, ell, size, ticker)
                 if packing is None:
                     return ell, scanned
-                rows = packing.rows
+                rows, head = packing.rows, None
         except _BudgetHit:
             raise SearchExhaustedError(f"budget exhausted on a {k}-assignment") from None
     return None, scanned
 
 
-def _refit_last_vertex(
-    g: Graph, ell: ListAssignment, rows: tuple[Coloring, ...], ticker: _Ticker
-) -> tuple[Coloring, ...] | None:
-    """Keep a packing's rows on vertices 1..n-1, provided they lie in ell's
-    lists, and give vertex n k distinct colors of L(n), one per row, row j
-    avoiding the row-j colors of n's neighbours: a system of distinct
-    representatives of rows by colors.  It is the first ordered k-tuple of
-    L(n), over the same tuple masks and in the same order as the cold
-    search, that misses the neighbours' (row, color) bits.  None when the
-    kept rows leave the lists or no tuple fits; a re-fit spends one node."""
-    n, lists = g.n, ell.lists
+def _refit_state(
+    g: Graph, ell: ListAssignment, rows: tuple[Coloring, ...]
+) -> dict[int, int] | None:
+    """What a re-fit of vertex n keeps from a packing's rows on vertices
+    1..n-1: per color, the rows in which some neighbour of n has it, row j
+    at bit j.  None when those rows leave ell's lists."""
+    lists, n = ell.lists, g.n
     for v in range(1, n):
         if not lists[v].issuperset([row[v] for row in rows]):
             return None
+    used: dict[int, int] = {}
+    for j, row in enumerate(rows):
+        for w in g.neighbors(n):
+            used[row[w]] = used.get(row[w], 0) | 1 << j
+    return used
+
+
+def _refit_last_vertex(
+    rows: tuple[Coloring, ...],
+    n: int,
+    colors: tuple[int, ...],
+    used: dict[int, int],
+    ticker: _Ticker,
+) -> bool:
+    """Give vertex n, in place, k distinct colors of its sorted list
+    `colors`, one per row, row j avoiding the colors `used` in row j by n's
+    neighbours: a system of distinct representatives of rows by colors.  It
+    is the first ordered k-tuple of the list, over the same tuple masks and
+    in the same order as the cold search, that misses the neighbours'
+    (row, color) bits.  False when none does; a re-fit spends one node."""
     ticker.spend()
     k = len(rows)
-    colors = sorted(lists[n])
-    rank = {c: r for r, c in enumerate(colors)}
-    nbrs = g.neighbors(n)
     taken = 0
-    for j, row in enumerate(rows):
-        for w in nbrs:
-            r = rank.get(row[w])
-            if r is not None:
-                taken |= 1 << (r * k + j)
+    for r, c in enumerate(colors):
+        taken |= used.get(c, 0) << r * k
     for mask in _tuple_masks(tuple(range(len(colors))), k):
         if not mask & taken:
-            refit = tuple(dict(row) for row in rows)
-            _decode_tuple(mask, n, colors, refit)
-            return refit
-    return None
+            _decode_tuple(mask, n, colors, rows)
+            return True
+    return False
 
 
 def find_bad_assignment(

@@ -7,7 +7,8 @@ from collections import Counter
 from functools import cache
 from itertools import combinations, permutations
 
-from listpacking import Graph, ListAssignment, Packing
+from listpacking import NOT_DISJOINT, Graph, ListAssignment, Packing, VerifyReport, Violation
+from listpacking.coloring import _require_domains, _row_violations
 from listpacking.galvin import _edge_color_augmenting
 
 
@@ -127,3 +128,28 @@ def konig_pack(n: int, lists: ListAssignment, m: int) -> Packing:
     for (v, c), j in ec.colors.items():
         rows[j - 1][v] = palette[c - n - 1]
     return Packing(tuple(rows))
+
+
+def enumerated_packing_report(g: Graph, ell: ListAssignment, packing: Packing) -> VerifyReport:
+    """`is_proper_packing` without its fast path: every row's violations,
+    then the coinciding row pairs at every vertex, all enumerated."""
+    _require_domains(g, ell)
+    verts = g.vertices()
+    domain = set(verts)
+    rows = packing.rows
+    for idx, row in enumerate(rows, start=1):
+        if row.keys() != domain:
+            raise ValueError(f"coloring {idx} domain does not match the vertex set")
+    violations: list[Violation] = []
+    for idx, row in enumerate(rows, start=1):
+        violations.extend(_row_violations(g, ell, row, (idx,)))
+    k = len(rows)
+    for v in verts:
+        col = [row[v] for row in rows]
+        if len(set(col)) == k:
+            continue
+        for i in range(k):
+            for j in range(i + 1, k):
+                if col[i] == col[j]:
+                    violations.append(Violation(NOT_DISJOINT, (v,), (i + 1, j + 1)))
+    return VerifyReport.from_violations(violations)

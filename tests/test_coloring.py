@@ -20,8 +20,8 @@ from listpacking import (
     product_id,
     solve_list_coloring,
 )
-from listpacking import FOUND
-from .helpers import path_graph
+from listpacking import FOUND, solve_packing
+from .helpers import cycle_graph, enumerated_packing_report, konig_pack, path_graph
 
 
 def const_lists(g, colors):
@@ -143,6 +143,91 @@ def test_row_violations_match_a_brute_force_in_order():
     ]
     report = is_proper_packing(g, ell, Packing(rows))
     assert [x for x in report.violations if x.kind != NOT_DISJOINT] == expected
+
+
+def _valid_packings(rng):
+    """Seeded proper packings of K_4 and K_5 (by Konig's theorem), of C_5
+    and of random graphs (by the exhaustive solver), with their lists."""
+    for n in (4, 5):
+        for m in (n, n + 1):
+            for _ in range(4):
+                ell = ListAssignment(
+                    {v: frozenset(rng.sample(range(1, 2 * m + 1), m)) for v in range(1, n + 1)}
+                )
+                yield complete_graph(n), ell, konig_pack(n, ell, m)
+    graphs = [cycle_graph(5)] * 4
+    for _ in range(8):
+        n = rng.randint(2, 8)
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        graphs.append(Graph.from_edges(n, [e for e in pairs if rng.random() < 0.4]))
+    for g in graphs:
+        k = rng.randint(1, 3)
+        while True:
+            ell = ListAssignment(
+                {v: frozenset(rng.sample(range(1, 3 * k + 2), k + 1)) for v in g.vertices()}
+            )
+            result = solve_packing(g, ell, k)
+            if result.status == FOUND:
+                yield g, ell, result.witness
+                break
+
+
+def _corrupt(rng, g, rows, edits):
+    """Copies of `rows` with `edits` random entries overwritten: by a color
+    in no list, by a neighbour's entry in the same row, or by another row's
+    entry at the same vertex."""
+    rows = [dict(row) for row in rows]
+    for _ in range(edits):
+        j, v = rng.randrange(len(rows)), rng.choice(g.vertices())
+        kind = rng.choice(["list", "proper", "disjoint"])
+        if kind == "proper" and g.neighbors(v):
+            rows[j][v] = rows[j][rng.choice(g.neighbors(v))]
+        elif kind == "disjoint" and len(rows) > 1:
+            rows[j][v] = rows[rng.choice([i for i in range(len(rows)) if i != j])][v]
+        else:
+            rows[j][v] = 1000 + rng.randrange(3)
+    return Packing(tuple(rows))
+
+
+def test_packing_check_matches_the_enumerated_report():
+    rng = random.Random(17)
+    seen = set()
+    for g, ell, packing in _valid_packings(rng):
+        assert is_proper_packing(g, ell, packing) == enumerated_packing_report(g, ell, packing)
+        assert is_proper_packing(g, ell, packing).ok
+        for edits in (1, 1, 1, 1, 2, 3):
+            bad = _corrupt(rng, g, packing.rows, edits)
+            report = is_proper_packing(g, ell, bad)
+            assert report == enumerated_packing_report(g, ell, bad), (g, ell, bad)
+            seen.add(frozenset(v.kind for v in report.violations))
+    # Each kind alone, and kinds mixed, were checked.
+    for kind in (NOT_IN_LIST, NOT_PROPER, NOT_DISJOINT):
+        assert frozenset({kind}) in seen
+    assert any(len(kinds) > 1 for kinds in seen)
+
+
+def test_packing_check_raises_as_the_enumeration_does():
+    k4 = complete_graph(4)
+    ell = const_lists(k4, range(1, 5))
+    rows = tuple({v: (v + j) % 4 + 1 for v in k4.vertices()} for j in range(4))
+    short = ListAssignment({v: ell[v] for v in (1, 2, 3)})
+    cases = [
+        (k4, short, Packing(rows)),
+        (k4, short, Packing(rows[:1] + ({1: 1},))),
+        (k4, ell, Packing(rows[:2] + ({1: 1, 2: 2, 3: 3},) + rows[3:])),
+        (k4, ell, Packing(rows[:3] + ({**rows[3], 5: 1},))),
+        (k4, ell, Packing(({1: 1},) + rows[1:2] + ({},))),
+        (Graph.from_edges(0, []), ell, Packing(())),
+    ]
+    for g, lists, packing in cases:
+        with pytest.raises(ValueError) as fast:
+            is_proper_packing(g, lists, packing)
+        with pytest.raises(ValueError) as enumerated:
+            enumerated_packing_report(g, lists, packing)
+        assert str(fast.value) == str(enumerated.value)
+    empty = (Graph.from_edges(0, []), ListAssignment({}))
+    for packing in (Packing(()), Packing(({},)), Packing(({}, {}))):
+        assert is_proper_packing(*empty, packing) == enumerated_packing_report(*empty, packing)
 
 
 def test_lift_lists_shapes():

@@ -169,3 +169,15 @@ def test_from_edges_validation():
         Graph.from_edges(2, [(1, 3)])
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(1, 2), (2, 1)])
+
+
+def test_neighbors_and_degree_reject_vertices_outside_the_graph():
+    g = Graph.from_edges(3, [(2, 3)])
+    assert g.neighbors(3) == (2,) and g.degree(1) == 0
+    for v in (0, -1, 4):
+        with pytest.raises(ValueError, match=f"vertex {v} out of range 1..3"):
+            g.neighbors(v)
+        with pytest.raises(ValueError, match=f"vertex {v} out of range 1..3"):
+            g.degree(v)
+    with pytest.raises(ValueError, match="vertex 1 out of range 1..0"):
+        Graph.from_edges(0, []).neighbors(1)

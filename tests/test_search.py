@@ -539,6 +539,34 @@ def test_scan_refits_spend_budget():
     assert result.status == EXHAUSTED and result.nodes == 3001
 
 
+# The nodes every scan up to k = 4 spends, per graph on at most 4 vertices
+# and the graph without vertices, as warm starts and cold solves share them.
+SCAN_NODES_SHA256 = "369070b64aa6856f7fa1f8f2f86445ba286ee04460245e774a1e760d0c82d49f"
+
+
+def test_scan_node_counts_are_pinned():
+    lines = []
+    for g in [Graph.from_edges(0, [])] + all_graphs_up_to_iso(4):
+        for number in (list_packing_number, list_chromatic_number):
+            ticker = search._Ticker(SearchBudget())
+            value = number(g, 4, ticker=ticker).value
+            lines.append(f"{number.__name__} {g.n} {g.edges} {value} {ticker.nodes}\n")
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == SCAN_NODES_SHA256
+
+
+def test_every_scanned_packing_gets_the_full_check(monkeypatch):
+    # One full check per packing the K_4 scans find, re-fitted or cold.
+    calls = []
+
+    def counted(g, ell, packing):
+        calls.append(ell)
+        return is_proper_packing(g, ell, packing)
+
+    monkeypatch.setattr(search, "is_proper_packing", counted)
+    assert list_packing_number(complete_graph(4), 4).value == 4
+    assert len(calls) == 332
+
+
 def test_chromatic_numbers():
     assert chromatic_number(complete_graph(5)) == 5
     assert chromatic_number(cycle_graph(5)) == 3
