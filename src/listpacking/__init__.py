@@ -40,10 +40,9 @@ from .graphs import (
 )
 from .packing import (
     PackRequest,
-    SolverContractError,
     UnsupportedRegimeError,
     pack_complete,
-    pack_via_product,
+    solve_packing_via_lift,
 )
 from .search import (
     ABSENT,
@@ -63,7 +62,6 @@ from .search import (
     list_packing_number,
     solve_list_coloring,
     solve_packing,
-    solve_packing_via_lift,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

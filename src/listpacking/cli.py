@@ -142,16 +142,20 @@ def cmd_chi(args) -> int:
     return EXIT_OK
 
 
+def _exceeds(args, what: str, exc: BoundExceededError) -> int:
+    """Certify that `what` exceeds the bound by the bad assignment at it."""
+    _write(args.output, format_certificate({"bound": exc.bound, "bad_assignment": exc.witness}))
+    _verdict("negative")
+    print(f"{what} exceeds {exc.bound}")
+    return EXIT_NEGATIVE
+
+
 def cmd_chi_list(args) -> int:
     g = _load_graph(args)
     try:
         result = list_chromatic_number(g, args.max_k, _budget(args))
     except BoundExceededError as exc:
-        cert = {"bound": exc.bound, "bad_assignment": exc.witness}
-        _write(args.output, format_certificate(cert))
-        _verdict("negative")
-        print(f"list chromatic number exceeds {exc.bound}")
-        return EXIT_NEGATIVE
+        return _exceeds(args, "list chromatic number", exc)
     _write(args.output, format_certificate(vars(result)))
     _verdict("ok", result.value)
     print(f"list chromatic number {result.value}")
@@ -163,11 +167,7 @@ def cmd_chi_star(args) -> int:
     try:
         result = list_packing_number(g, args.max_k, _budget(args))
     except BoundExceededError as exc:
-        cert = {"bound": exc.bound, "bad_assignment": exc.witness}
-        _write(args.output, format_certificate(cert))
-        _verdict("negative")
-        print(f"list packing number exceeds {exc.bound}")
-        return EXIT_NEGATIVE
+        return _exceeds(args, "list packing number", exc)
     # The result's fields in order, then the most colors a scanned assignment uses.
     cert = {**vars(result), "color_cap": g.n * result.value}
     _write(args.output, format_certificate(cert))

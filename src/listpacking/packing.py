@@ -6,13 +6,13 @@ engine, edge x_i y_j taking the list of v_i -- its max degree is exactly m,
 so lists of size m suffice -- and read row j off the edges at y_j.  The
 proof's identity, not a runtime step, says why: K_n box K_m is the line
 graph of K_{n,m}, so that edge coloring is a proper coloring of the lifted
-product, sliced into m pairwise-disjoint colorings.  `pack_via_product` is
-the lift -> solve -> extract route for any graph and solver.
+product, sliced into m pairwise-disjoint colorings.  `solve_packing_via_lift`
+runs that reduction on any graph, with an exhaustive coloring search.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .coloring import (
     ListAssignment,
@@ -24,14 +24,11 @@ from .coloring import (
 )
 from .galvin import list_edge_color
 from .graphs import Graph, complete_bipartite, complete_graph
+from .search import FOUND, SearchBudget, SearchResult, solve_list_coloring
 
 
 class UnsupportedRegimeError(ValueError):
     """Packing size below the vertex count: the construction does not apply."""
-
-
-class SolverContractError(RuntimeError):
-    """A supplied solver returned a coloring that fails verification."""
 
 
 @dataclass(frozen=True)
@@ -72,22 +69,21 @@ def pack_complete(req: PackRequest) -> Packing:
     return packing
 
 
-def pack_via_product(g: Graph, lists: ListAssignment, k: int, solver) -> Packing | None:
-    """Generic reduction: ask `solver` for a proper list coloring of the
-    lifted product and extract a packing from it.  Returns None when the
-    solver reports none; that is meaningful only when the solver is
-    exhaustive.  A solver returning a bad coloring is an error, not a None.
-    """
-    if any(len(lists[v]) < k for v in g.vertices()):
+def solve_packing_via_lift(
+    g: Graph, ell: ListAssignment, k: int, budget: SearchBudget | None = None
+) -> SearchResult:
+    """A second exact route to `solve_packing`'s answer, the paper's
+    reduction: `solve_list_coloring` on the lifted product g box K_k, its
+    coloring sliced into a packing.  Returns that search's result with the
+    packing as witness when found; raises ValueError as solve_packing does."""
+    h, lifted = lift_lists(g, ell, k)
+    if any(len(ell[v]) < k for v in g.vertices()):
         raise ValueError(f"every list needs at least k={k} colors")
-    h, lifted = lift_lists(g, lists, k)
-    f_h = solver(h, lifted)
-    if f_h is None:
-        return None
-    packing = extract_packing(g, k, f_h)
-    report = is_proper_packing(g, lists, packing)
+    result = solve_list_coloring(h, lifted, budget)
+    if result.status != FOUND:
+        return result
+    packing = extract_packing(g, k, result.witness)
+    report = is_proper_packing(g, ell, packing)
     if not report.ok:
-        raise SolverContractError(
-            f"solver returned a coloring whose packing fails verification: {report.violations}"
-        )
-    return packing
+        raise RuntimeError(f"internal error: packing failed verification: {report.violations}")
+    return replace(result, witness=packing)

@@ -56,7 +56,6 @@ from .coloring import (
     is_proper_packing,
 )
 from .graphs import Graph
-from .packing import pack_via_product
 
 FOUND = "found"
 ABSENT = "absent"
@@ -271,22 +270,6 @@ def _decode_tuple(mask: int, v: int, colors: Sequence[int], rows: tuple[Coloring
         bit = (mask & -mask).bit_length() - 1
         rows[bit % k][v] = colors[bit // k]
         mask &= mask - 1
-
-
-def solve_packing_via_lift(
-    g: Graph, ell: ListAssignment, k: int, budget: SearchBudget | None = None
-) -> SearchResult:
-    """The other route to the same answer: list-color the lifted product
-    with `solve_list_coloring` and slice, through `pack_via_product`.  Must
-    agree with solve_packing on every instance."""
-    solved: list[SearchResult] = []
-
-    def solver(h: Graph, lifted: ListAssignment) -> Coloring | None:
-        solved.append(solve_list_coloring(h, lifted, budget))
-        return solved[0].witness  # None unless found
-
-    packing = pack_via_product(g, ell, k, solver)
-    return solved[0] if packing is None else replace(solved[0], witness=packing)
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +569,8 @@ def find_bad_assignment(
     """First canonical k-assignment (in enumeration order) admitting no
     proper packing of size k, or absent when every one packs.  The budget
     bounds the whole scan."""
+    if k < 1:
+        raise ValueError(f"list size must be positive, got {k}")
     ticker = _Ticker(budget or SearchBudget())
     try:
         bad, _ = _scan(g, k, k, ticker)

@@ -1,32 +1,31 @@
 from __future__ import annotations
 
+import hashlib
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from listpacking import (
     ABSENT,
+    EXHAUSTED,
     FOUND,
+    Graph,
     ListAssignment,
     PackRequest,
-    SolverContractError,
+    SearchBudget,
+    SearchResult,
     UnsupportedRegimeError,
     complete_bipartite,
     complete_graph,
     is_proper_packing,
     pack_complete,
-    pack_via_product,
-    solve_list_coloring,
     solve_packing,
+    solve_packing_via_lift,
 )
 from listpacking.galvin import list_edge_color
 from .helpers import konig_pack, path_graph
-
-
-def exhaustive_solver(h, lifted):
-    result = solve_list_coloring(h, lifted)
-    assert result.status in (FOUND, ABSENT)
-    return result.witness if result.status == FOUND else None
 
 
 def test_pack_single_vertex():
@@ -131,15 +130,18 @@ def test_pack_monotone_regime_with_truncated_lists():
             assert solve_packing(complete_graph(n), ell, m_prime).status == FOUND
 
 
+# The lift route, `solve_packing_via_lift`: pack via the product g box K_k.
+
+
 def test_pack_via_product_present_and_absent():
     k2 = complete_graph(2)
     ell = ListAssignment({1: frozenset({1, 2}), 2: frozenset({1, 2})})
-    packing = pack_via_product(k2, ell, 2, exhaustive_solver)
-    assert packing is not None and is_proper_packing(k2, ell, packing).ok
+    result = solve_packing_via_lift(k2, ell, 2)
+    assert result.status == FOUND and is_proper_packing(k2, ell, result.witness).ok
 
     k3 = complete_graph(3)
     ell3 = ListAssignment({v: frozenset({1, 2}) for v in range(1, 4)})
-    assert pack_via_product(k3, ell3, 2, exhaustive_solver) is None
+    assert solve_packing_via_lift(k3, ell3, 2) == SearchResult(ABSENT, nodes=6)
 
 
 def test_pack_via_product_agrees_with_direct_search():
@@ -149,24 +151,60 @@ def test_pack_via_product_agrees_with_direct_search():
         ell = ListAssignment(
             {v: frozenset(rng.sample(range(1, 5), 2)) for v in p3.vertices()}
         )
-        via = pack_via_product(p3, ell, 2, exhaustive_solver)
+        via = solve_packing_via_lift(p3, ell, 2)
         direct = solve_packing(p3, ell, 2)
-        assert (via is not None) == (direct.status == FOUND)
+        assert via.status == direct.status in (FOUND, ABSENT)
 
 
-def test_pack_via_product_surfaces_solver_lies():
+def test_pack_via_product_surfaces_solver_lies(monkeypatch):
     k2 = complete_graph(2)
     ell = ListAssignment({1: frozenset({1, 2}), 2: frozenset({1, 2})})
 
-    def lying_solver(h, lifted):
-        return {v: 1 for v in h.vertices()}
+    def lying_solver(h, lifted, budget=None):
+        return SearchResult(FOUND, {v: 1 for v in h.vertices()}, 1)
 
-    with pytest.raises(SolverContractError):
-        pack_via_product(k2, ell, 2, lying_solver)
+    monkeypatch.setattr("listpacking.packing.solve_list_coloring", lying_solver)
+    with pytest.raises(RuntimeError, match="internal error"):
+        solve_packing_via_lift(k2, ell, 2)
 
 
 def test_pack_via_product_requires_wide_lists():
     k2 = complete_graph(2)
     ell = ListAssignment({1: frozenset({1}), 2: frozenset({1, 2})})
-    with pytest.raises(ValueError):
-        pack_via_product(k2, ell, 2, exhaustive_solver)
+    with pytest.raises(ValueError, match="every list needs at least k=2 colors"):
+        solve_packing_via_lift(k2, ell, 2)
+
+
+def _random_lift_instances(count, seed):
+    """Seeded graphs on at most 5 vertices with k-lists from k+1..k+3
+    colors, k from 1 to 3, some lists one color longer than k."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        k = rng.randint(1, 3)
+        density = rng.choice((0.3, 0.6, 0.9))
+        edges = [e for e in combinations(range(1, n + 1), 2) if rng.random() < density]
+        colors = range(1, k + rng.randint(1, 3) + 1)
+        lists = {
+            v: frozenset(rng.sample(colors, rng.randint(k, min(k + 1, len(colors)))))
+            for v in range(1, n + 1)
+        }
+        yield Graph.from_edges(n, edges), ListAssignment(lists), k
+
+
+# SHA-256 over (status, nodes, witness rows) of every instance, recorded from
+# the route that passed a solver callback into a generic lift/solve/extract
+# helper.
+LIFT_ROUTE_SHA256 = "1bc7aff32a553377ccde18f666227d29ba7408b233f476510dba227d56cd99d5"
+
+
+def test_lift_route_outputs_match_pinned_digest():
+    digest = hashlib.sha256()
+    statuses = Counter()
+    for g, ell, k in _random_lift_instances(200, 2026):
+        result = solve_packing_via_lift(g, ell, k, SearchBudget(node_limit=20))
+        rows = None if result.witness is None else [sorted(r.items()) for r in result.witness.rows]
+        digest.update(repr((result.status, result.nodes, rows)).encode())
+        statuses[result.status] += 1
+    assert min(statuses[FOUND], statuses[ABSENT], statuses[EXHAUSTED]) > 0
+    assert digest.hexdigest() == LIFT_ROUTE_SHA256

@@ -140,6 +140,8 @@ def test_solve_packing_rejects_a_list_assignment_missing_a_vertex():
         solve_packing(k3, short, 2)
     with pytest.raises(ValueError, match="list assignment domain does not match the vertex set"):
         solve_list_coloring(k3, short)
+    with pytest.raises(ValueError, match="list assignment domain does not match the vertex set"):
+        solve_packing_via_lift(k3, short, 2)
 
 
 def test_solve_list_coloring_rejects_an_empty_list():
@@ -333,6 +335,15 @@ def test_find_bad_assignment_small():
 
     k2 = complete_graph(2)
     assert find_bad_assignment(k2, 2).status == ABSENT
+
+
+def test_find_bad_assignment_rejects_list_sizes_below_one():
+    # Lists are nonempty, so there is no 0-assignment to call bad.
+    for k in (0, -1):
+        with pytest.raises(ValueError, match=f"list size must be positive, got {k}"):
+            find_bad_assignment(complete_graph(2), k)
+        with pytest.raises(ValueError, match=f"list size must be positive, got {k}"):
+            next(enumerate_canonical_assignments(complete_graph(2), k))
 
 
 def test_find_bad_assignment_k4():
