@@ -70,6 +70,9 @@ class VerifyReport:
         return cls(not vs, vs)
 
 
+_PASSED = VerifyReport(True, ())  # frozen, so every passing check shares it
+
+
 @dataclass(frozen=True)
 class Packing:
     """An ordered tuple of colorings; order matters only for reporting."""
@@ -122,7 +125,7 @@ def is_proper_packing(g: Graph, ell: ListAssignment, packing: Packing) -> Verify
         if row.keys() != domain:
             raise ValueError(f"coloring {idx} domain does not match the vertex set")
     if _is_packing(g, ell.lists, rows):
-        return VerifyReport(True, ())
+        return _PASSED
     verts = g.vertices()
     violations: list[Violation] = []
     for idx, row in enumerate(rows, start=1):

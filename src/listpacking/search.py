@@ -42,7 +42,8 @@ ticker runs dry; each public entry converts that once: `solve_packing` and
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
+from bisect import bisect_right
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import compress, permutations, product
@@ -160,7 +161,7 @@ def solve_packing(
     if k < 1:
         raise ValueError(f"packing size must be positive, got {k}")
     _require_domains(g, ell)
-    if any(len(ell[v]) < k for v in g.vertices()):
+    if min(map(len, ell.lists.values()), default=k) < k:
         raise ValueError(f"every list needs at least k={k} colors")
     ticker = _Ticker(budget or SearchBudget())
     try:
@@ -174,13 +175,24 @@ def _solve_packing(g: Graph, ell: ListAssignment, k: int, ticker: _Ticker) -> Pa
     """solve_packing on a given ticker, lists already checked: the packing,
     or None when there is none.  Raises _BudgetHit when the ticker runs out."""
     colors, ranks = _rank_colors(g, ell)
-    rows = _packing_search(g, colors, ranks, 1, ticker)
-    if rows is not None and k > 1:
-        rows = _packing_search(g, colors, ranks, k, ticker)
-    if rows is None:
+    later = [()] + [ns[bisect_right(ns, v) :] for v, ns in enumerate(g._adjacency, 1)]
+    chosen = _packing_search(later, ranks, 1, ticker)
+    if chosen is not None and k > 1:
+        chosen = _packing_search(later, ranks, k, ticker)
+    if chosen is None:
         return None
+    rows: tuple[Coloring, ...] = tuple({} for _ in range(k))
+    for v in g.vertices():
+        _decode_tuple(chosen[v], v, colors, rows)
+    return _verified(g, ell, rows)
+
+
+def _verified(g: Graph, ell: ListAssignment, rows: tuple[Coloring, ...]) -> Packing:
+    """Packing(rows), after the full check; failing it is an internal error."""
     packing = Packing(rows)
-    assert is_proper_packing(g, ell, packing).ok
+    report = is_proper_packing(g, ell, packing)
+    if not report.ok:
+        raise RuntimeError(f"internal error: packing failed verification: {report.violations}")
     return packing
 
 
@@ -204,62 +216,56 @@ def _rank_colors(g: Graph, ell: ListAssignment) -> tuple[list[int], list[tuple[i
 
 
 def _packing_search(
-    g: Graph, colors: list[int], ranks: list[tuple[int, ...]], k: int, ticker: _Ticker
-) -> tuple[Coloring, ...] | None:
+    later: list[tuple[int, ...]], ranks: list[tuple[int, ...]], k: int, ticker: _Ticker
+) -> list[int] | None:
     """Forward-checking search over ordered k-tuples, on the lists as
-    `_rank_colors` numbers them.  A tuple is a bitmask of its (coordinate,
-    color) pairs, colors numbered by rank so masks stay k*|colors| bits wide
-    whatever the color values; two tuples may sit on adjacent vertices
-    exactly when their masks are disjoint.  Masks are never 0, so 0 in
-    `chosen` marks a vertex without a tuple."""
-    if g.n == 0:
-        return tuple({} for _ in range(k))
+    `_rank_colors` numbers them, with `later[v]` the neighbours of vertex v
+    above v: the tuple chosen for each vertex v, at index v, or None.  A
+    tuple is a bitmask of its (coordinate, color) pairs, colors numbered by
+    rank so masks stay k*|colors| bits wide whatever the color values; two
+    tuples may sit on adjacent vertices exactly when their masks are
+    disjoint.  Masks are never 0, so 0 marks a domain used up."""
+    n = len(ranks)
+    chosen = [0] * (n + 1)
+    if n == 0:
+        return chosen
     domains: list[Sequence[int]] = [()] + [_tuple_masks(r, k) for r in ranks]
-    chosen = [0] * (g.n + 1)
-    # Depth-first with an explicit stack: per vertex, its domain on arrival,
-    # the next tuple to try, and the neighbor domains its current tuple
-    # replaced.  Vertices go in order 1..n, so at vertex v exactly 1..v
-    # hold tuples and the unplaced neighbors are those above v.
-    options: list[Sequence[int]] = [() for _ in range(g.n + 1)]
-    pos = [0] * (g.n + 1)
-    saved: list[list[tuple[int, Sequence[int]]]] = [[] for _ in range(g.n + 1)]
+    # Depth-first with an explicit stack: per vertex, an iterator over its
+    # domain on arrival, and the (neighbour, old domain) pairs its current
+    # tuple replaced, put back before it tries the next.  Vertices go in
+    # order 1..n, so at vertex v, 1..v hold tuples and later[v] are unplaced.
+    tries: list[Iterator[int]] = [iter(())] * (n + 1)
+    saved: list[list[tuple[int, Sequence[int]]]] = [[] for _ in range(n + 1)]
+    spend = ticker.spend
     v = 1
-    options[v] = domains[v]
+    tries[v] = iter(domains[v])
     while True:
-        if chosen[v]:  # the current tuple failed: take it back
-            for w, old in saved[v]:
+        undo = saved[v]
+        if undo:
+            for w, old in undo:
                 domains[w] = old
-            chosen[v] = 0
-        if pos[v] == len(options[v]):
+            undo.clear()
+        p = next(tries[v], 0)
+        if not p:
             v -= 1
             if v == 0:
                 return None
             continue
-        p = options[v][pos[v]]
-        pos[v] += 1
-        ticker.spend()
-        chosen[v] = p
-        saved[v] = []
-        wiped = False
-        for w in g.neighbors(v):
-            if w > v:
-                kept = [q for q in domains[w] if not p & q]
-                saved[v].append((w, domains[w]))
-                domains[w] = kept
-                if not kept:
-                    wiped = True
-                    break
-        if wiped:
-            continue
-        if v == g.n:
-            break
-        v += 1
-        options[v] = domains[v]
-        pos[v] = 0
-    rows: tuple[Coloring, ...] = tuple({} for _ in range(k))
-    for v in g.vertices():
-        _decode_tuple(chosen[v], v, colors, rows)
-    return rows
+        spend()
+        for w in later[v]:
+            old = domains[w]
+            kept = [q for q in old if not p & q]
+            if not kept:
+                break
+            undo.append((w, old))
+            domains[w] = kept
+        else:
+            chosen[v] = p
+            if v == n:
+                break
+            v += 1
+            tries[v] = iter(domains[v])
+    return chosen
 
 
 def _decode_tuple(mask: int, v: int, colors: Sequence[int], rows: tuple[Coloring, ...]) -> None:
@@ -510,7 +516,7 @@ def _scan(
                 if used is None or not _refit_last_vertex(rows, n, lists[-1], used, ticker):
                     rows = None
             if rows is not None:
-                assert is_proper_packing(g, ell, Packing(rows)).ok
+                _verified(g, ell, rows)
             else:
                 packing = _solve_packing(g, ell, size, ticker)
                 if packing is None:

@@ -6,10 +6,14 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache
 from itertools import combinations, permutations
+from pathlib import Path
 
 from listpacking import NOT_DISJOINT, Graph, ListAssignment, Packing, VerifyReport, Violation
 from listpacking.coloring import _require_domains, _row_violations
 from listpacking.galvin import _edge_color_augmenting
+from listpacking.search import _decode_tuple, _tuple_masks
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def all_graphs_up_to_iso(max_n: int) -> list[Graph]:
@@ -153,3 +157,55 @@ def enumerated_packing_report(g: Graph, ell: ListAssignment, packing: Packing) -
                 if col[i] == col[j]:
                     violations.append(Violation(NOT_DISJOINT, (v,), (i + 1, j + 1)))
     return VerifyReport.from_violations(violations)
+
+
+def reference_packing_search(g: Graph, colors, ranks, k: int, ticker):
+    """The packing backtracker in its earlier shape, kept as the oracle for
+    `search._packing_search`: the same vertex order, tuple order and node
+    spending, with each vertex's domain read by position, its neighbours
+    filtered by `w > v` at every node and a flag for a wiped-out domain.
+    The rows of the first packing found, or None."""
+    if g.n == 0:
+        return tuple({} for _ in range(k))
+    domains = [()] + [_tuple_masks(r, k) for r in ranks]
+    chosen = [0] * (g.n + 1)
+    options = [() for _ in range(g.n + 1)]
+    pos = [0] * (g.n + 1)
+    saved: list[list] = [[] for _ in range(g.n + 1)]
+    v = 1
+    options[v] = domains[v]
+    while True:
+        if chosen[v]:  # the current tuple failed: take it back
+            for w, old in saved[v]:
+                domains[w] = old
+            chosen[v] = 0
+        if pos[v] == len(options[v]):
+            v -= 1
+            if v == 0:
+                return None
+            continue
+        p = options[v][pos[v]]
+        pos[v] += 1
+        ticker.spend()
+        chosen[v] = p
+        saved[v] = []
+        wiped = False
+        for w in g.neighbors(v):
+            if w > v:
+                kept = [q for q in domains[w] if not p & q]
+                saved[v].append((w, domains[w]))
+                domains[w] = kept
+                if not kept:
+                    wiped = True
+                    break
+        if wiped:
+            continue
+        if v == g.n:
+            break
+        v += 1
+        options[v] = domains[v]
+        pos[v] = 0
+    rows: tuple[dict[int, int], ...] = tuple({} for _ in range(k))
+    for v in g.vertices():
+        _decode_tuple(chosen[v], v, colors, rows)
+    return rows

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
 from itertools import combinations, count, permutations, product
@@ -37,12 +40,14 @@ from listpacking import (
 )
 from listpacking import search
 from .helpers import (
+    ROOT,
     all_graphs_up_to_iso,
     burnside_count,
     cycle_graph,
     long_path_instance,
     orbit_count,
     path_graph,
+    reference_packing_search,
 )
 
 
@@ -200,6 +205,147 @@ def test_solve_packing_outputs_match_pinned_digest():
         statuses[result.status] += 1
     assert min(statuses[FOUND], statuses[ABSENT], statuses[EXHAUSTED]) > 0
     assert digest.hexdigest() == SOLVE_PACKING_SHA256
+
+
+def _against_reference(g, ell, k, node_limit=5000):
+    """Run the packing search and the reference node loop on one instance
+    and one node limit; both give the same rows, or both run out, after
+    the same number of nodes.  Returns that outcome and node count."""
+    colors, ranks = search._rank_colors(g, ell)
+    later = [()] + [tuple(w for w in g.neighbors(v) if w > v) for v in g.vertices()]
+
+    def current(ticker):
+        chosen = search._packing_search(later, ranks, k, ticker)
+        if chosen is None:
+            return None
+        rows = tuple({} for _ in range(k))
+        for v in g.vertices():
+            search._decode_tuple(chosen[v], v, colors, rows)
+        return rows
+
+    outcomes = []
+    for run in (current, lambda ticker: reference_packing_search(g, colors, ranks, k, ticker)):
+        ticker = search._Ticker(SearchBudget(node_limit=node_limit))
+        try:
+            outcome = run(ticker)
+        except search._BudgetHit:
+            outcome = EXHAUSTED
+        outcomes.append((outcome, ticker.nodes))
+    assert outcomes[0] == outcomes[1], (g, ell, k, node_limit)
+    return outcomes[0]
+
+
+def _workload_instances(count, seed):
+    """Seeded graphs shaped like the benchmark's solve workload: 8 vertices,
+    14 edges, 3-lists from the colors 1..5."""
+    rng = random.Random(seed)
+    pairs = list(combinations(range(1, 9), 2))
+    for _ in range(count):
+        lists = {v: frozenset(rng.sample(range(1, 6), 3)) for v in range(1, 9)}
+        yield Graph.from_edges(8, rng.sample(pairs, 14)), ListAssignment(lists)
+
+
+def test_packing_search_matches_the_reference_node_loop_on_edge_shapes():
+    # No vertices, one vertex, no edges, isolated vertices, the last vertex
+    # without any neighbour, vertex 1 without a neighbour above it.
+    shapes = [
+        (Graph.from_edges(0, []), {}),
+        (Graph.from_edges(1, []), {1: {1, 2, 3, 4}}),
+        (Graph.from_edges(4, []), {v: {1, 2, 3, 4} for v in range(1, 5)}),
+        (Graph.from_edges(5, [(1, 3), (3, 4)]), {v: {1, 2, 3, 4} for v in range(1, 6)}),
+        (path_graph(3), {1: {1, 2, 3, 4}, 2: {1, 2, 3, 4}, 3: {2, 3, 4, 5}}),
+        (Graph.from_edges(4, [(2, 3), (2, 4), (3, 4)]), {v: {1, 2, 3, 4} for v in range(1, 5)}),
+    ]
+    for g, raw in shapes:
+        ell = ListAssignment({v: frozenset(cs) for v, cs in raw.items()})
+        for k in range(1, 5):
+            rows, _ = _against_reference(g, ell, k)
+            assert rows is not None and rows != EXHAUSTED
+    # Vertex 1's first color wipes out the domain of its last forward
+    # neighbour, 3, and not that of 2; its second color goes through.
+    star = Graph.from_edges(3, [(1, 2), (1, 3)])
+    ell = ListAssignment({1: frozenset({1, 2}), 2: frozenset({2, 3}), 3: frozenset({1})})
+    assert _against_reference(star, ell, 1) == (({1: 2, 2: 3, 3: 1},), 4)
+    # On a triangle colored from {1, 2}, each color of vertex 2 wipes out
+    # vertex 3, its last forward neighbour, under each color of vertex 1.
+    assert _against_reference(complete_graph(3), const_lists(complete_graph(3), {1, 2}), 1) == (
+        None,
+        4,
+    )
+
+
+def test_packing_search_matches_the_reference_node_loop_on_random_instances():
+    outcomes = Counter()
+    for g, ell, k in _random_packing_instances(300, 41):
+        rows, _ = _against_reference(g, ell, k)
+        outcomes[rows if rows in (None, EXHAUSTED) else FOUND] += 1
+    for g, ell in _workload_instances(200, 42):
+        rows, _ = _against_reference(g, ell, 3)
+        outcomes[rows if rows in (None, EXHAUSTED) else FOUND] += 1
+    assert min(outcomes[None], outcomes[EXHAUSTED], outcomes[FOUND]) > 0
+
+
+def test_packing_search_runs_out_at_the_reference_node():
+    # Every node limit below an instance's node count runs out at the same
+    # node in both loops, and the count itself suffices for both.
+    tried = 0
+    for g, ell in _workload_instances(40, 43):
+        outcome, nodes = _against_reference(g, ell, 3)
+        if not 30 <= nodes <= 150:
+            continue
+        tried += 1
+        for limit in range(1, nodes):
+            assert _against_reference(g, ell, 3, limit) == (EXHAUSTED, limit + 1)
+        assert _against_reference(g, ell, 3, nodes) == (outcome, nodes)
+    assert tried >= 3
+
+
+_FAILING_CHECK = """
+import sys
+from listpacking import ListAssignment, VerifyReport, complete_graph, search
+from listpacking import list_packing_number, solve_packing
+
+passes = int(sys.argv[1])  # packing checks that pass before the rest fail
+
+
+def check(g, ell, packing):
+    global passes
+    passes -= 1
+    return VerifyReport(passes >= 0, ())
+
+
+search.is_proper_packing = check
+k3 = complete_graph(3)
+if sys.argv[2] == "solve":
+    solve_packing(k3, ListAssignment({v: frozenset({1, 2, 3}) for v in k3.vertices()}), 3)
+else:
+    list_packing_number(k3, 3)
+"""
+
+
+def test_a_packing_failing_its_check_is_an_error_under_python_O():
+    # python -O strips asserts; the check of every packing found must stay.
+    # On K_3 with {1, 2, 3} everywhere, the cold solve's packing is checked
+    # first, and the scan at k = 3 re-fits the next one.
+    pythonpath = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=pythonpath)
+
+    def run(passes, call):
+        return subprocess.run(
+            [sys.executable, "-O", "-c", _FAILING_CHECK, str(passes), call],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    for passes, call in ((0, "solve"), (0, "scan"), (1, "scan")):
+        done = run(passes, call)
+        assert done.returncode == 1, done.stderr
+        last = done.stderr.strip().splitlines()[-1]
+        assert last == "RuntimeError: internal error: packing failed verification: ()"
+    assert run(99, "solve").returncode == 0
+    assert run(99, "scan").returncode == 0
 
 
 def _random_coloring_instances(count, seed):
