@@ -134,14 +134,13 @@ def _edge_color_augmenting(g: Graph, delta: int) -> EdgeColoring:
         at[u][c] = v
         at[v][c] = u
 
+    palette = range(1, delta + 1)
     for u, v in g.edges:
-        free_u = [c for c in range(1, delta + 1) if c not in at[u]]
-        free_v = [c for c in range(1, delta + 1) if c not in at[v]]
-        common = sorted(set(free_u) & set(free_v))
-        if common:
-            set_color(u, v, common[0])
+        at_u, at_v = at[u], at[v]
+        if common := next((c for c in palette if c not in at_u and c not in at_v), 0):
+            set_color(u, v, common)
             continue
-        a, b = free_u[0], free_v[0]
+        a, b = (next(c for c in palette if c not in taken) for taken in (at_u, at_v))
         # Flip the maximal a/b alternating path starting at v; it cannot end
         # at u, so afterwards a is free at both endpoints.  Clear every path
         # entry before re-inserting: consecutive path edges share vertices,

@@ -439,11 +439,11 @@ def _iter_canonical(n: int, k: int, group: Sequence[tuple[int, ...]] | None = No
     width = n * k
     all_colors = [(1 << width) - 1]
     movers = _movers(n, group)
-    own = [None] + [_reader(tuple(range(j + 1))) for j in range(1, n)]
-    # The AND of the prefix's lists at each position set, and its size; kept
-    # for a nontrivial group only.
-    inter = all_colors * (1 << n)
-    sizes = [0] * (1 << n)
+    if symmetric:  # the trivial group reads none of this 2^n state
+        own = [None] + [_reader(tuple(range(j + 1))) for j in range(1, n)]
+        # The AND of the prefix's lists at each position set, and its size.
+        inter = all_colors * (1 << n)
+        sizes = [0] * (1 << n)
     prefix: list[tuple[int, ...]] = []
 
     def walk(blocks: list[int]):

@@ -8,9 +8,9 @@ from functools import cache
 from itertools import combinations, permutations
 from pathlib import Path
 
-from listpacking import NOT_DISJOINT, Graph, ListAssignment, Packing, VerifyReport, Violation
+from listpacking import NOT_DISJOINT, Edge, Graph, ListAssignment, Packing, VerifyReport, Violation
 from listpacking.coloring import _require_domains, _row_violations
-from listpacking.galvin import _edge_color_augmenting
+from listpacking.galvin import EdgeColoring, _edge_color_augmenting
 from listpacking.search import _decode_tuple, _tuple_masks
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -132,6 +132,44 @@ def konig_pack(n: int, lists: ListAssignment, m: int) -> Packing:
     for (v, c), j in ec.colors.items():
         rows[j - 1][v] = palette[c - n - 1]
     return Packing(tuple(rows))
+
+
+def reference_edge_color_augmenting(g: Graph, delta: int) -> EdgeColoring:
+    """`galvin._edge_color_augmenting` in its earlier shape, kept as its
+    oracle: each edge lists every free color at both ends, intersects the
+    two lists and sorts them, and takes the smallest common color, or else
+    flips the alternating path of the smallest free colors a at u and b at v."""
+    colors: dict[Edge, int] = {}
+    at: dict[int, dict[int, int]] = {v: {} for v in g.vertices()}
+
+    def set_color(u: int, v: int, c: int) -> None:
+        colors[(u, v) if u < v else (v, u)] = c
+        at[u][c] = v
+        at[v][c] = u
+
+    for u, v in g.edges:
+        free_u = [c for c in range(1, delta + 1) if c not in at[u]]
+        free_v = [c for c in range(1, delta + 1) if c not in at[v]]
+        common = sorted(set(free_u) & set(free_v))
+        if common:
+            set_color(u, v, common[0])
+            continue
+        a, b = free_u[0], free_v[0]
+        z, want = v, a
+        path: list[tuple[int, int, int]] = []
+        while want in at[z]:
+            nxt = at[z][want]
+            path.append((z, nxt, want))
+            z = nxt
+            want = b if want == a else a
+        assert z != u, "alternating path closed on the insertion endpoint"
+        for p, q, old in path:
+            del at[p][old]
+            del at[q][old]
+        for p, q, old in path:
+            set_color(p, q, b if old == a else a)
+        set_color(u, v, a)
+    return EdgeColoring(colors, delta)
 
 
 def enumerated_packing_report(g: Graph, ell: ListAssignment, packing: Packing) -> VerifyReport:

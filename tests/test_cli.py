@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import re
@@ -8,10 +9,18 @@ from pathlib import Path
 
 import pytest
 
-from listpacking import SearchBudget, cartesian_product, cli, complete_bipartite, complete_graph
+from listpacking import (
+    Graph,
+    SearchBudget,
+    cartesian_product,
+    cli,
+    complete_bipartite,
+    complete_graph,
+)
 from listpacking.cli import build_parser, main
 from listpacking.formats import (
     FormatError,
+    format_edge_lists,
     format_graph,
     format_packing,
     format_vertex_lists,
@@ -350,6 +359,27 @@ def test_edge_color_command(tmp_path, capsys):
     data = json.loads((tmp_path / "colors.json").read_text())
     assert set(data) == {f"{u}-{v}" for u, v in g.edges}
     capsys.readouterr()
+
+
+def test_edge_color_output_at_scale_matches_pinned_digest(tmp_path, capsys):
+    # A non-complete bipartite graph, so the base coloring comes from
+    # augmenting paths: 2533 edges, max degree 56, lists of size 56 from 112
+    # colors.  Recorded on the free-list base coloring; the output file pins
+    # the base coloring and the engine together.
+    rng = random.Random(2021)
+    full, _ = complete_bipartite(60, 70)
+    g = Graph.from_edges(130, [e for e in full.edges if rng.random() < 0.6])
+    delta = g.max_degree()
+    edge_lists = {e: frozenset(rng.sample(range(1, 2 * delta + 1), delta)) for e in g.edges}
+    assert (len(g.edges), delta) == (2533, 56)
+    graph = write(tmp_path, "g.col", format_graph(g))
+    lists = write(tmp_path, "el.json", format_edge_lists(edge_lists))
+    out = tmp_path / "colors.json"
+    assert main(["edge-color", "--graph", graph, "--edge-lists", lists, "-o", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "STATUS=ok VALUE=56"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "a9dbe3a2125980f45e8352d3bc0c24580721a4d0e1df2d4cb0a319f151faff97"
+    )
 
 
 def test_edge_color_reads_the_edge_lists_before_the_bipartition(tmp_path, capsys):

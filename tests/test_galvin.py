@@ -23,7 +23,7 @@ from listpacking import (
     stable_matching,
     verify_edge_coloring,
 )
-from .helpers import cycle_graph
+from .helpers import cycle_graph, reference_edge_color_augmenting
 
 
 def test_closed_form_on_k23():
@@ -111,6 +111,32 @@ def test_augmenting_path_flip_handles_shared_path_vertices():
     ec = edge_color_bipartite(g, bip)
     assert ec.palette_size == g.max_degree() == 3
     assert verify_edge_coloring(g, ec.colors) == []
+
+
+def test_augmenting_path_coloring_matches_the_free_list_reference():
+    # The first-free-color scans make the choices of the earlier free-list
+    # intersection, kept in tests/helpers.py, in the same insertion order:
+    # 200 seeded graphs with sides up to 40 and densities from sparse to
+    # complete (where flips fire), plus the shared-vertex flip graph.
+    from listpacking.galvin import _edge_color_augmenting
+
+    rng = random.Random(2121)
+    graphs = [
+        Graph.from_edges(
+            8, [(1, 4), (1, 7), (1, 8), (2, 5), (2, 6), (2, 8), (3, 4), (3, 6), (3, 7)]
+        )
+    ]
+    for _ in range(200):
+        n, m = rng.randint(1, 40), rng.randint(1, 40)
+        keep = rng.choice((0.05, 0.2, 0.5, 0.8, 0.95, 1.0))
+        graphs.append(_random_bipartite(rng, n, m, keep)[0])
+    assert max(g.max_degree() for g in graphs) >= 35
+    for g in graphs:
+        delta = g.max_degree()
+        ec = _edge_color_augmenting(g, delta)
+        expected = reference_edge_color_augmenting(g, delta)
+        assert list(ec.colors.items()) == list(expected.colors.items()), g.edges
+        assert ec.palette_size == expected.palette_size == delta
 
 
 def test_edge_color_rejects_non_bipartite_input():

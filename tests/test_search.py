@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from itertools import combinations, count, permutations, product
 from types import SimpleNamespace
@@ -793,6 +794,20 @@ def test_list_chromatic_number_bound_exceeded():
         list_chromatic_number(complete_graph(3), 2)
     assert err.value.bound == 2
     assert solve_list_coloring(complete_graph(3), err.value.witness).status == ABSENT
+
+
+def test_the_trivial_group_walk_builds_no_state_per_vertex_set():
+    # chi-list walks the trivial group, so it needs none of the 2^n sizes,
+    # intersections and readers of the symmetry test.  On a path the answer
+    # comes at the first leaf: the constant 1-assignment is bad.
+    tracemalloc.start()
+    try:
+        result = list_chromatic_number(path_graph(18), 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.value == 2
+    assert peak < 1 << 20, peak
 
 
 def test_list_packing_numbers_tiny():
