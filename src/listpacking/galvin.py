@@ -11,13 +11,17 @@ matching is exactly a kernel of the pool under those preferences, which is
 why an edge loses a color only when a dominating neighbor got colored -- so
 lists of size at least the maximum degree never run dry.
 
-Cost: once per engine run, each edge gets an id (its place in sorted edge
-order), is oriented into (X-vertex, Y-vertex, base color) in id-indexed lists,
-and each X-vertex's preference order is sorted.  The color index holds runs of
-consecutive ids with one first endpoint and one list, each keeping a live list
-of its uncolored ids, so a round's pool is its color's live runs joined.  The
-round functions take ids and run in O(|pool|); deletions are read off the final
-coloring, and the trace decodes ids to edges only when read.
+Cost: once per graph and bipartition, the base coloring is built, each edge
+gets an id (its place in sorted edge order), is oriented into (X-vertex,
+Y-vertex, base color) in id-indexed lists, and each X-vertex's preference order
+is sorted.  These depend on nothing else, so the last pair's tables are kept
+for the next run: for K_{300,300} they hold about 36 MiB, the graph included,
+after the run returns.  Every run still checks the edge lists, builds its color
+index, calls the round functions and verifies the coloring.  The color index
+holds runs of consecutive ids with one first endpoint and one list, each
+keeping a live list of its uncolored ids, so a round's pool is its color's live
+runs joined.  The round functions take ids and run in O(|pool|); deletions are
+read off the final coloring, and the trace decodes ids to edges only when read.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, groupby
 
 from .graphs import Bipartition, Edge, Graph
@@ -234,6 +238,15 @@ def kernel_check(pool, prefs: PreferenceSystem, matching) -> bool:
     return True
 
 
+@lru_cache(maxsize=1)
+def _preferences(g: Graph, bip: Bipartition) -> PreferenceSystem:
+    """The base coloring and the preference tables read off it.  They depend
+    on (g, bip) alone, so runs on equal inputs share one instance and build
+    its tables (cached properties) once.  A bad bipartition raises on every
+    call, since lru_cache stores no exception."""
+    return PreferenceSystem(edge_color_bipartite(g, bip), bip)
+
+
 def list_edge_color(g: Graph, bip: Bipartition, edge_lists: EdgeListAssignment) -> EdgeColoring:
     coloring, _ = list_edge_color_trace(g, bip, edge_lists)
     return coloring
@@ -249,14 +262,13 @@ def list_edge_color_trace(
     Each round picks the globally smallest color alpha still wanted, commits
     a stable matching of the alpha-wanting edges, re-checked by kernel_check,
     and deletes alpha from the unmatched ones."""
-    base = edge_color_bipartite(g, bip)  # checks bip before any list is read
+    prefs = _preferences(g, bip)  # checks bip before any list is read
     if set(edge_lists) != set(g.edges):
         raise ValueError("edge list domain does not match the edge set")
     delta = g.max_degree()
     for e, colors in edge_lists.items():
         if len(colors) < delta:
             raise ValueError(f"list at edge {e} has {len(colors)} colors, need at least {delta}")
-    prefs = PreferenceSystem(base, bip)
     edges, index = prefs.edges, prefs.index
     # Runs: blocks of consecutive ids with one first endpoint and one list.
     # wanting[c] = the runs whose list holds c, ascending, so joining each
@@ -274,7 +286,9 @@ def list_edge_color_trace(
     color: list[int | None] = [None] * len(edges)
     rounds: list[RoundTrace] = []
     for alpha in sorted(wanting):
-        pool = tuple(chain.from_iterable(wanting.pop(alpha)))
+        # A list first: tuple() over an iterator resizes a guessed size, and the
+        # resized tuples pile up in per-size free lists until a full collection.
+        pool = tuple([*chain.from_iterable(wanting.pop(alpha))])
         if not pool:
             continue
         matched = stable_matching(pool, prefs)

@@ -48,6 +48,7 @@ class Graph:
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         seen: set[Edge] = set()
+        edges: list[Edge] = []
         for u, v in edge_list:
             if u == v:
                 raise ValueError(f"loop edge ({u},{v}) rejected")
@@ -57,7 +58,9 @@ class Graph:
             if e in seen:
                 raise ValueError(f"duplicate edge ({u},{v}) rejected")
             seen.add(e)
-        return cls(n, tuple(sorted(seen)))
+            edges.append(e)
+        edges.sort()  # input order, not hash order: presorted input sorts in linear time
+        return cls(n, tuple(edges))
 
     def vertices(self) -> range:
         return range(1, self.n + 1)

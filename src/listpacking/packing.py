@@ -13,6 +13,7 @@ runs that reduction on any graph, with an exhaustive coloring search.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from .coloring import (
     ListAssignment,
@@ -25,6 +26,12 @@ from .coloring import (
 from .galvin import list_edge_color
 from .graphs import Graph, complete_bipartite, complete_graph
 from .search import FOUND, SearchBudget, SearchResult, solve_list_coloring
+
+
+# K_n and K_{n,m} depend on the shape alone.  Reusing the last shape's graphs
+# also lets the Galvin engine find its tables, cached on (graph, bipartition).
+_complete_graph = lru_cache(maxsize=1)(complete_graph)
+_complete_bipartite = lru_cache(maxsize=1)(complete_bipartite)
 
 
 class UnsupportedRegimeError(ValueError):
@@ -48,7 +55,7 @@ def pack_complete(req: PackRequest) -> Packing:
     n, m, lists = req.n, req.m, req.lists
     if n < 1:
         raise ValueError(f"need at least one vertex, got n={n}")
-    g = complete_graph(n)
+    g = _complete_graph(n)
     if lists.domain() != set(g.vertices()):
         raise ValueError("list assignment domain does not match K_n")
     if not lists.is_k_assignment(m):
@@ -57,7 +64,7 @@ def pack_complete(req: PackRequest) -> Packing:
         raise UnsupportedRegimeError(
             f"packing size m={m} below n={n}: the construction needs m >= n"
         )
-    knm, bip = complete_bipartite(n, m)
+    knm, bip = _complete_bipartite(n, m)
     edge_lists = {(i, n + j): lists[i] for i in range(1, n + 1) for j in range(1, m + 1)}
     ec = list_edge_color(knm, bip, edge_lists)
     packing = Packing(

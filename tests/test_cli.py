@@ -289,6 +289,16 @@ def test_chi_star_k4_certificate_is_unchanged(tmp_path, capsys):
     assert cert.read_bytes() == pinned.read_bytes()
 
 
+def test_pack_complete_output_file_is_unchanged(tmp_path, capsys):
+    # A seeded 12-assignment of K_12 from the colors 1..24.
+    data = Path(__file__).parent / "data"
+    lists, out = str(data / "k12_lists.json"), tmp_path / "p.json"
+    for _ in range(2):  # a cold call, then one on the cached graphs
+        assert main(["pack-complete", "-n", "12", "--lists", lists, "-o", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "STATUS=ok VALUE=12"
+        assert out.read_bytes() == (data / "k12_pack_complete.json").read_bytes()
+
+
 def test_chi_list_k24_certificate_is_unchanged(tmp_path, capsys):
     # Written by the scan that ran a cold search on every assignment.
     pinned = Path(__file__).parent / "data" / "k24_chi_list_max_k3.json"

@@ -173,6 +173,96 @@ def test_engine_splits_each_edge_at_most_twice(monkeypatch):
             assert len(calls) <= 2 * len(g.edges)
 
 
+def test_engine_splits_no_edge_on_a_graph_it_has_seen(monkeypatch):
+    from listpacking import galvin
+
+    calls = []
+    split = Bipartition.split_edge
+
+    def counting(bip, e):
+        calls.append(e)
+        return split(bip, e)
+
+    monkeypatch.setattr(Bipartition, "split_edge", counting)
+    rng = random.Random(9)
+    for g, bip in (complete_bipartite(5, 7), _random_bipartite(rng, 6, 6)):
+        delta = g.max_degree()
+        lists = {e: frozenset(rng.sample(range(1, 2 * delta + 1), delta)) for e in g.edges}
+        galvin._preferences.cache_clear()
+        calls.clear()
+        cold = list_edge_color_trace(g, bip, lists)
+        assert 0 < len(calls) <= 2 * len(g.edges)
+        # Equal but not identical inputs: the cache keys on value.
+        g2 = Graph.from_edges(g.n, reversed(g.edges))
+        bip2 = Bipartition(frozenset(sorted(bip.X)), frozenset(sorted(bip.Y)))
+        assert (g2, bip2) == (g, bip) and g2 is not g and bip2 is not bip
+        calls.clear()
+        warm = list_edge_color_trace(g2, bip2, lists)
+        assert calls == []
+        assert _trace_key(warm) == _trace_key(cold)
+
+
+def _trace_key(result):
+    ec, trace = result
+    rounds = [(r.color, r.pool, r.matched) for r in trace.rounds]
+    return rounds, trace.deletions, ec.colors
+
+
+def test_swapped_sides_get_their_own_preference_tables():
+    from listpacking import galvin
+
+    g, bip = complete_bipartite(3, 3)
+    swapped = Bipartition(bip.Y, bip.X)
+    rng = random.Random(10)
+    lists = {e: frozenset(rng.sample(range(1, 7), 3)) for e in g.edges}
+    galvin._preferences.cache_clear()
+    list_edge_color_trace(g, bip, lists)
+    warm = list_edge_color_trace(g, swapped, lists)
+    prefs, swapped_prefs = galvin._preferences(g, bip), galvin._preferences(g, swapped)
+    assert prefs is not swapped_prefs
+    assert swapped_prefs.oriented[0] == prefs.oriented[1]  # X-ends are the other side
+    assert swapped_prefs.order != prefs.order
+    galvin._preferences.cache_clear()
+    assert _trace_key(list_edge_color_trace(g, swapped, lists)) == _trace_key(warm)
+
+
+def test_a_bad_bipartition_raises_on_every_call():
+    from listpacking import galvin
+
+    g, good = complete_bipartite(2, 3)
+    bad = Bipartition(frozenset({1, 3}), frozenset({2, 4, 5}))  # (1, 3) stays in X
+    lists = {e: frozenset({1, 2, 3}) for e in g.edges}
+    galvin._preferences.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="does not cross"):
+            list_edge_color_trace(g, bad, lists)
+        list_edge_color_trace(g, good, lists)
+        with pytest.raises(ValueError, match="does not cross"):
+            list_edge_color_trace(g, bad, lists)
+    assert galvin._preferences.cache_info().currsize == 1
+
+
+def test_the_per_graph_caches_stay_within_their_bound():
+    from listpacking import galvin, packing
+
+    caches = (galvin._preferences, packing._complete_graph, packing._complete_bipartite)
+    assert all(cache.cache_info().maxsize is not None for cache in caches)
+    bound = max(cache.cache_info().maxsize for cache in caches)
+    rng = random.Random(11)
+    for n in range(1, bound + 4):
+        m = n + n % 2
+        lists = ListAssignment(
+            {v: frozenset(rng.sample(range(1, 2 * m + 1), m)) for v in range(1, n + 1)}
+        )
+        pack_complete(PackRequest(n, lists, m))
+        g, bip = _random_bipartite(rng, n, m)
+        delta = g.max_degree()
+        list_edge_color(g, bip, {e: frozenset(range(1, delta + 1)) for e in g.edges})
+        for cache in caches:
+            info = cache.cache_info()
+            assert info.currsize <= info.maxsize
+
+
 def _prefs(g, bip):
     return PreferenceSystem(edge_color_bipartite(g, bip), bip)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import time
 
 import pytest
@@ -169,6 +170,27 @@ def test_from_edges_validation():
         Graph.from_edges(2, [(1, 3)])
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(1, 2), (2, 1)])
+
+
+def test_from_edges_sorts_shuffled_mixed_orientation_input():
+    rng = random.Random(5)
+    for n, m in ((1, 1), (4, 7), (12, 9)):
+        g, _ = complete_bipartite(n, m)
+        shuffled = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges]
+        rng.shuffle(shuffled)
+        h = Graph.from_edges(g.n, shuffled)
+        assert h == g and h.edges == tuple(sorted(g.edges))
+    assert Graph.from_edges(5, [(5, 4), (3, 1), (1, 2), (4, 1)]).edges == (
+        (1, 2), (1, 3), (1, 4), (4, 5),
+    )
+    for edges, message in (
+        ([(1, 2), (3, 3)], "loop edge (3,3) rejected"),
+        ([(2, 1), (1, 4)], "edge (1,4) out of range 1..3"),
+        ([(2, 3), (1, 2), (3, 2)], "duplicate edge (3,2) rejected"),
+    ):
+        with pytest.raises(ValueError) as info:
+            Graph.from_edges(3, edges)
+        assert str(info.value) == message
 
 
 def test_neighbors_and_degree_reject_vertices_outside_the_graph():

@@ -208,3 +208,31 @@ def test_lift_route_outputs_match_pinned_digest():
         statuses[result.status] += 1
     assert min(statuses[FOUND], statuses[ABSENT], statuses[EXHAUSTED]) > 0
     assert digest.hexdigest() == LIFT_ROUTE_SHA256
+
+
+def test_pack_complete_rows_are_the_same_cold_and_warm():
+    from listpacking import galvin, packing
+
+    caches = (packing._complete_graph, packing._complete_bipartite, galvin._preferences)
+    # More shapes than the caches hold, so cycling through them evicts each
+    # entry before it comes round again; the second call of a pair is a hit.
+    shapes = ((2, 3), (3, 3), (4, 6))
+    assert all(cache.cache_info().maxsize < len(shapes) for cache in caches)
+    rng = random.Random(22)
+    requests = {}
+    for n, m in shapes:
+        lists = {v: frozenset(rng.sample(range(1, 2 * m + 1), m)) for v in range(1, n + 1)}
+        requests[n, m] = PackRequest(n, ListAssignment(lists), m)
+    cold = {}
+    for shape, req in requests.items():
+        for cache in caches:
+            cache.cache_clear()
+        cold[shape] = pack_complete(req).rows
+    before = [cache.cache_info() for cache in caches]
+    for _ in range(2):
+        for shape, req in requests.items():
+            assert pack_complete(req).rows == cold[shape]
+            assert pack_complete(req).rows == cold[shape]
+    for cache, info in zip(caches, before):
+        after = cache.cache_info()
+        assert after.misses - info.misses == after.hits - info.hits == 2 * len(shapes)
