@@ -15,7 +15,7 @@ Cost: once per graph and bipartition, the base coloring is built, each edge
 gets an id (its place in sorted edge order), is oriented into (X-vertex,
 Y-vertex, base color) in id-indexed lists, and each X-vertex's preference order
 is sorted.  These depend on nothing else, so the last pair's tables are kept
-for the next run: for K_{300,300} they hold about 36 MiB, the graph included,
+for the next run: for K_{300,300} they hold about 33 MiB, the graph included,
 after the run returns.  Every run still checks the edge lists, builds its color
 index, calls the round functions and verifies the coloring.  The color index
 holds runs of consecutive ids with one first endpoint and one list, each
@@ -27,7 +27,6 @@ read off the final coloring, and the trace decodes ids to edges only when read.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, groupby
@@ -156,7 +155,8 @@ def _edge_color_augmenting(g: Graph, delta: int) -> EdgeColoring:
             path.append((z, nxt, want))
             z = nxt
             want = b if want == a else a
-        assert z != u, "alternating path closed on the insertion endpoint"
+        if z == u:
+            raise RuntimeError("internal error: alternating path closed on the insertion endpoint")
         for p, q, old in path:
             del at[p][old]
             del at[q][old]
@@ -180,7 +180,11 @@ def stable_matching(pool, prefs: PreferenceSystem) -> set[int]:
 
     The result is a matching M absorbing the rest of the pool: every unmatched
     pool edge xy shares x with a matched edge of higher base color or shares y
-    with a matched edge of lower base color."""
+    with a matched edge of lower base color.
+
+    Proposers take turns and a displaced one resumes at once: the order of
+    proposals does not change the X-optimal result (McVitie and Wilson 1971)
+    as long as preferences are strict, which a proper base coloring ensures."""
     members = _pool_ids(pool, prefs)
     if not members:
         raise ValueError("stable matching of an empty edge pool is undefined")
@@ -191,23 +195,17 @@ def stable_matching(pool, prefs: PreferenceSystem) -> set[int]:
         x: (t for t in order[x] if t[2] in members)
         for x in sorted({x_end[i] for i in members})
     }
-    # The X-optimal stable matching does not depend on the proposal order,
-    # so a FIFO queue of free proposers suffices.
-    free = deque(proposals)
     held: dict[int, tuple[int, int, int]] = {}  # y -> (base color, x, edge id)
-    while free:
-        x = free.popleft()
-        proposal = next(proposals[x], None)
-        if proposal is None:
-            continue  # exhausted every pool edge; stays unmatched
-        c, y, i = proposal
-        if y not in held:
-            held[y] = (c, x, i)
-        elif c < held[y][0]:
-            free.append(held[y][1])
-            held[y] = (c, x, i)
-        else:
-            free.append(x)
+    for x in proposals:
+        # x proposes until some y holds it or its pool edges run out; a
+        # holder it displaces takes over from where that holder stopped.
+        while (proposal := next(proposals[x], None)) is not None:
+            c, y, i = proposal
+            if y not in held:
+                held[y] = (c, x, i)
+                break
+            if c < held[y][0]:
+                held[y], x = (c, x, i), held[y][1]
     return {i for _, _, i in held.values()}
 
 

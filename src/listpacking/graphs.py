@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 
 Vertex = int
 Edge = tuple[int, int]
@@ -121,18 +121,18 @@ def product_coords(vid: int, width: int) -> tuple[int, int]:
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"complete graph needs at least one vertex, got n={n}")
-    edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-    return Graph.from_edges(n, edges)
+    # combinations reuses its pool's int objects: one per vertex id, not per edge.
+    return Graph.from_edges(n, combinations(range(1, n + 1), 2))
 
 
 def complete_bipartite(n: int, m: int) -> tuple[Graph, Bipartition]:
     """K_{n,m} with X = 1..n and Y = n+1..n+m."""
     if n < 1 or m < 1:
         raise ValueError(f"both sides must be nonempty, got ({n},{m})")
-    edges = [(i, n + j) for i in range(1, n + 1) for j in range(1, m + 1)]
-    g = Graph.from_edges(n + m, edges)
-    bip = Bipartition(frozenset(range(1, n + 1)), frozenset(range(n + 1, n + m + 1)))
-    return g, bip
+    # One int object per vertex id, shared by its edges and its side.
+    ids = list(range(1, n + m + 1))
+    xs, ys = ids[:n], ids[n:]
+    return Graph.from_edges(n + m, product(xs, ys)), Bipartition(frozenset(xs), frozenset(ys))
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
@@ -202,5 +202,6 @@ def _odd_cycle(parent: dict[int, int | None], v: int, w: int) -> list[int]:
     common = set(pv) & set(pw)
     iv = next(i for i, u in enumerate(pv) if u in common)
     iw = next(i for i, u in enumerate(pw) if u in common)
-    assert pv[iv] == pw[iw]
+    if pv[iv] != pw[iw]:
+        raise RuntimeError("internal error: the two BFS ancestries meet at different vertices")
     return pv[: iv + 1] + pw[:iw][::-1]

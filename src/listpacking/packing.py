@@ -25,7 +25,7 @@ from .coloring import (
 )
 from .galvin import list_edge_color
 from .graphs import Graph, complete_bipartite, complete_graph
-from .search import FOUND, SearchBudget, SearchResult, solve_list_coloring
+from .search import FOUND, SearchBudget, SearchResult, _verified, solve_list_coloring
 
 
 # K_n and K_{n,m} depend on the shape alone.  Reusing the last shape's graphs
@@ -89,8 +89,5 @@ def solve_packing_via_lift(
     result = solve_list_coloring(h, lifted, budget)
     if result.status != FOUND:
         return result
-    packing = extract_packing(g, k, result.witness)
-    report = is_proper_packing(g, ell, packing)
-    if not report.ok:
-        raise RuntimeError(f"internal error: packing failed verification: {report.violations}")
+    packing = _verified(g, ell, extract_packing(g, k, result.witness).rows)
     return replace(result, witness=packing)

@@ -3,14 +3,14 @@ independent of the library's own search paths."""
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from functools import cache
 from itertools import combinations, permutations
 from pathlib import Path
 
 from listpacking import NOT_DISJOINT, Edge, Graph, ListAssignment, Packing, VerifyReport, Violation
 from listpacking.coloring import _require_domains, _row_violations
-from listpacking.galvin import EdgeColoring, _edge_color_augmenting
+from listpacking.galvin import EdgeColoring, PreferenceSystem, _edge_color_augmenting, _pool_ids
 from listpacking.search import _decode_tuple, _tuple_masks
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -170,6 +170,36 @@ def reference_edge_color_augmenting(g: Graph, delta: int) -> EdgeColoring:
             set_color(p, q, b if old == a else a)
         set_color(u, v, a)
     return EdgeColoring(colors, delta)
+
+
+def reference_stable_matching(pool, prefs: PreferenceSystem) -> set[int]:
+    """`galvin.stable_matching` in its earlier shape, kept as its oracle:
+    deferred acceptance with a FIFO queue of free proposers, X-vertices in
+    sorted order first, a rejected or displaced proposer going to the back."""
+    members = _pool_ids(pool, prefs)
+    if not members:
+        raise ValueError("stable matching of an empty edge pool is undefined")
+    x_end, order = prefs.oriented[0], prefs.order
+    proposals = {
+        x: (t for t in order[x] if t[2] in members)
+        for x in sorted({x_end[i] for i in members})
+    }
+    free = deque(proposals)
+    held: dict[int, tuple[int, int, int]] = {}  # y -> (base color, x, edge id)
+    while free:
+        x = free.popleft()
+        proposal = next(proposals[x], None)
+        if proposal is None:
+            continue  # exhausted every pool edge; stays unmatched
+        c, y, i = proposal
+        if y not in held:
+            held[y] = (c, x, i)
+        elif c < held[y][0]:
+            free.append(held[y][1])
+            held[y] = (c, x, i)
+        else:
+            free.append(x)
+    return {i for _, _, i in held.values()}
 
 
 def enumerated_packing_report(g: Graph, ell: ListAssignment, packing: Packing) -> VerifyReport:

@@ -23,7 +23,7 @@ from listpacking import (
     stable_matching,
     verify_edge_coloring,
 )
-from .helpers import cycle_graph, reference_edge_color_augmenting
+from .helpers import cycle_graph, reference_edge_color_augmenting, reference_stable_matching
 
 
 def test_closed_form_on_k23():
@@ -630,3 +630,34 @@ def test_pack_complete_rows_match_pinned_digest():
     assert _digest(runs) == (
         "cf728d0af1f342515d4ae7b626e2cc451bb77653912c68f051179cb797a36328"
     )
+
+
+def test_stable_matching_matches_the_queue_reference_on_every_round_pool(monkeypatch):
+    # Proposal order does not change deferred acceptance's result under strict
+    # preferences, so the one-loop matching returns the earlier FIFO-queue
+    # version's set (kept in tests/helpers.py) on every pool the engine forms:
+    # the 200 seeded random instances and the four K_48 pack_complete inputs.
+    from listpacking import galvin
+
+    original = galvin.stable_matching
+    pools = []
+
+    def checking(pool, prefs):
+        matched = original(pool, prefs)
+        assert matched == reference_stable_matching(pool, prefs), pool
+        pools.append(len(pool))
+        return matched
+
+    monkeypatch.setattr(galvin, "stable_matching", checking)
+    rng = random.Random(2207)
+    for _ in range(200):
+        list_edge_color_trace(*_random_engine_instance(rng))
+    n = 48
+    for palette in (n + 2, n * n):
+        for seed in (1, 2):
+            rng = random.Random(seed)
+            lists = ListAssignment(
+                {v: frozenset(rng.sample(range(1, palette + 1), n)) for v in range(1, n + 1)}
+            )
+            pack_complete(PackRequest(n, lists, n))
+    assert len(pools) > 3000 and max(pools) == n * n

@@ -46,6 +46,13 @@ def test_complete_bipartite_shapes():
         complete_bipartite(0, 3)
 
 
+def test_complete_graphs_hold_one_int_object_per_vertex():
+    # Ids above CPython's small-int cache (256) are fresh objects unless the
+    # edges share them; pack_complete keeps the last graphs alive.
+    for g in (complete_bipartite(200, 100)[0], complete_graph(300)):
+        assert len({id(v) for e in g.edges for v in e}) == g.n == 300
+
+
 def test_cartesian_product_square():
     c4 = cartesian_product(complete_graph(2), complete_graph(2))
     assert c4.edges == ((1, 2), (1, 3), (2, 4), (3, 4))
