@@ -433,23 +433,31 @@ def _iter_canonical(n: int, k: int, group: Sequence[tuple[int, ...]] | None = No
     class under color renaming and the vertex permutations of `group` (a
     group, identity first, in `_automorphisms` form; None for the trivial
     group), lazily, in lexicographic order of their flattened forms.  Each
-    comes with the number of color-renaming classes its class holds."""
+    comes with the number of color-renaming classes its class holds.  The
+    walk is depth-first on an explicit stack, as in `_packing_search`: entry
+    i holds the color classes lists 0..i-1 leave and an iterator over the
+    canonical candidates for list i."""
     group = tuple(group or (tuple(range(n)),))
     symmetric = len(group) > 1
     width = n * k
     all_colors = [(1 << width) - 1]
-    movers = _movers(n, group)
     if symmetric:  # the trivial group reads none of this 2^n state
+        movers = _movers(n, group)
         own = [None] + [_reader(tuple(range(j + 1))) for j in range(1, n)]
         # The AND of the prefix's lists at each position set, and its size.
         inter = all_colors * (1 << n)
         sizes = [0] * (1 << n)
-    prefix: list[tuple[int, ...]] = []
-
-    def walk(blocks: list[int]):
-        i = len(prefix)
-        node, low, high = movers[i + 1], 1 << i, 2 << i
-        for mask in _canonical_lists(blocks, k):
+    if n == 0:
+        yield (), 1
+        return
+    prefix: list[tuple[int, ...]] = []  # [:i] holds lists 0..i-1 while list i is tried
+    stack = [(all_colors, iter(_canonical_lists(all_colors, k)))]
+    while stack:
+        i = len(stack) - 1
+        blocks, candidates = stack[i]
+        if symmetric:
+            node, low, high = movers[i + 1], 1 << i, 2 << i
+        for mask in candidates:
             equal = 0
             if symmetric:
                 sizes[low:high] = [(meet & mask).bit_count() for meet in inter[:low]]
@@ -457,24 +465,21 @@ def _iter_canonical(n: int, k: int, group: Sequence[tuple[int, ...]] | None = No
                     equal = _stabilizer(sizes, node, own, 1)
                     if equal is None:
                         continue
-            prefix.append(tuple(width - b for b in range(width - 1, -1, -1) if mask >> b & 1))
-            if i + 1 == n:
-                yield tuple(prefix), len(group) // (1 + equal)
-            else:
+            colors, rest = [], mask  # color c at bit width - c, highest bit first
+            while rest:
+                top = rest.bit_length()
+                colors.append(width + 1 - top)
+                rest ^= 1 << top - 1
+            prefix[i:] = [tuple(colors)]
+            if i + 1 < n:
                 if symmetric:
                     inter[low:high] = [meet & mask for meet in inter[:low]]
-                yield from walk(_meet(blocks, mask))
-            prefix.pop()
-
-    try:
-        if n == 0:
-            yield (), 1
+                blocks = _meet(blocks, mask)
+                stack.append((blocks, iter(_canonical_lists(blocks, k))))
+                break
+            yield tuple(prefix), len(group) // (1 + equal)
         else:
-            yield from walk(all_colors)
-    finally:
-        # walk refers to itself; break that cycle so that its state goes
-        # when the walk ends or is dropped, not at the next full collection.
-        del walk
+            stack.pop()
 
 
 def enumerate_canonical_assignments(g: Graph, k: int):

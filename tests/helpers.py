@@ -11,7 +11,15 @@ from pathlib import Path
 from listpacking import NOT_DISJOINT, Edge, Graph, ListAssignment, Packing, VerifyReport, Violation
 from listpacking.coloring import _require_domains, _row_violations
 from listpacking.galvin import EdgeColoring, PreferenceSystem, _edge_color_augmenting, _pool_ids
-from listpacking.search import _decode_tuple, _tuple_masks
+from listpacking.search import (
+    _canonical_lists,
+    _decode_tuple,
+    _meet,
+    _movers,
+    _reader,
+    _stabilizer,
+    _tuple_masks,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -277,3 +285,48 @@ def reference_packing_search(g: Graph, colors, ranks, k: int, ticker):
     for v in g.vertices():
         _decode_tuple(chosen[v], v, colors, rows)
     return rows
+
+
+def reference_iter_canonical(n: int, k: int, group=None):
+    """`search._iter_canonical` in its earlier shape, kept as its oracle: a
+    recursive generator, one frame per list, passing each assignment up
+    through `yield from`, with the same candidates, symmetry test and
+    weights."""
+    group = tuple(group or (tuple(range(n)),))
+    symmetric = len(group) > 1
+    width = n * k
+    all_colors = [(1 << width) - 1]
+    movers = _movers(n, group)
+    if symmetric:
+        own = [None] + [_reader(tuple(range(j + 1))) for j in range(1, n)]
+        inter = all_colors * (1 << n)
+        sizes = [0] * (1 << n)
+    prefix: list[tuple[int, ...]] = []
+
+    def walk(blocks: list[int]):
+        i = len(prefix)
+        node, low, high = movers[i + 1], 1 << i, 2 << i
+        for mask in _canonical_lists(blocks, k):
+            equal = 0
+            if symmetric:
+                sizes[low:high] = [(meet & mask).bit_count() for meet in inter[:low]]
+                if node:
+                    equal = _stabilizer(sizes, node, own, 1)
+                    if equal is None:
+                        continue
+            prefix.append(tuple(width - b for b in range(width - 1, -1, -1) if mask >> b & 1))
+            if i + 1 == n:
+                yield tuple(prefix), len(group) // (1 + equal)
+            else:
+                if symmetric:
+                    inter[low:high] = [meet & mask for meet in inter[:low]]
+                yield from walk(_meet(blocks, mask))
+            prefix.pop()
+
+    try:
+        if n == 0:
+            yield (), 1
+        else:
+            yield from walk(all_colors)
+    finally:
+        del walk  # walk refers to itself

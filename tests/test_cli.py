@@ -225,6 +225,13 @@ def test_solve_command_on_a_long_path(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "STATUS=ok VALUE=3"
 
 
+def test_chi_list_command_on_a_long_path(tmp_path, capsys):
+    g, _ = long_path_instance()
+    graph = write(tmp_path, "path.col", format_graph(g))
+    assert main(["chi-list", "--graph", graph, "--max-k", "3"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "STATUS=ok VALUE=2"
+
+
 def test_chi_commands(tmp_path, capsys):
     graph = write(tmp_path, "k3.col", K3_COL)
     assert main(["chi", "--graph", graph]) == 0

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import random
@@ -8,7 +9,7 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
-from itertools import combinations, count, permutations, product
+from itertools import combinations, count, islice, permutations, product
 from types import SimpleNamespace
 
 import pytest
@@ -48,6 +49,7 @@ from .helpers import (
     long_path_instance,
     orbit_count,
     path_graph,
+    reference_iter_canonical,
     reference_packing_search,
 )
 
@@ -456,6 +458,39 @@ def test_canonical_assignments_stay_within_color_cap():
         for ell in enumerate_canonical_assignments(g, k):
             assert ell.is_k_assignment(k)
             assert max(max(ell[v]) for v in g.vertices()) <= g.n * k
+
+
+def test_canonical_walk_matches_the_recursive_reference():
+    cases = [
+        (g.n, k, group)
+        for g in all_graphs_up_to_iso(4)
+        for group in (search._automorphisms(g), None)
+        for k in (1, 2, 3)
+    ]
+    k4 = search._automorphisms(complete_graph(4))
+    cases += [(4, 4, k4), (4, 4, None), (0, 2, None)]
+    for g in (complete_graph(5), cycle_graph(5)):
+        cases += [(5, k, search._automorphisms(g)) for k in (1, 2)]
+    for n, k, group in cases:
+        ours = list(search._iter_canonical(n, k, group))
+        assert ours == list(reference_iter_canonical(n, k, group)), (n, k, group)
+    for stop in (1, 5, 40):  # walks dropped part way
+        ours = list(islice(search._iter_canonical(4, 3, k4), stop))
+        assert ours == list(islice(reference_iter_canonical(4, 3, k4), stop))
+
+
+def test_a_dropped_walk_leaves_no_reference_cycle():
+    group = search._automorphisms(complete_graph(4))
+    list(search._iter_canonical(4, 3, group))  # fills the caches the walk keeps
+    gc.disable()
+    try:
+        gc.collect()
+        walk = search._iter_canonical(4, 3, group)
+        next(walk)
+        del walk
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_packability_is_renaming_invariant():
@@ -890,3 +925,19 @@ def test_solve_packing_on_a_long_path():
     assert result.status == FOUND
     assert is_proper_packing(g, ell, result.witness).ok
     assert solve_list_coloring(g, ell).status == FOUND
+
+
+def test_scans_and_enumeration_run_past_the_recursion_limit():
+    # The walk goes one list deeper per vertex: 1,200 lists is past Python's
+    # default recursion limit of 1,000.
+    g = path_graph(1200)
+    assert list_chromatic_number(g, 3).value == 2
+    assert find_bad_assignment(g, 1).status == FOUND
+    first = next(enumerate_canonical_assignments(g, 2))
+    assert set(first.lists.values()) == {frozenset({1, 2})}
+
+
+def test_the_trivial_group_walk_is_not_quadratic():
+    start = time.perf_counter()
+    assert list_chromatic_number(path_graph(10_000), 3).value == 2
+    assert time.perf_counter() - start < 5
