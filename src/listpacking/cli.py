@@ -3,15 +3,17 @@
 Every run prints one machine-parsable verdict line first,
 `STATUS=<ok|negative|error|exhausted> VALUE=<nat or empty>`, followed by
 human-readable detail.  Exit codes: 0 success, 1 certified negative,
-2 input error, 3 budget exhausted, 4 internal error.  Positive results are
-re-verified before anything is written; certificates are written even for
-negative results so failures reproduce from artifacts alone.
+2 input error or standard output closed early, 3 budget exhausted,
+4 internal error.  Positive results are re-verified before anything is
+written; certificates are written even for negative results so failures
+reproduce from artifacts alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -276,21 +278,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except SearchExhaustedError as exc:
-        _verdict("exhausted")
-        print(str(exc), file=sys.stderr)
-        return EXIT_EXHAUSTED
-    except (ValueError, OSError) as exc:
-        _verdict("error")
-        print(str(exc), file=sys.stderr)
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        except BrokenPipeError:
+            raise
+        except SearchExhaustedError as exc:
+            _verdict("exhausted")
+            print(str(exc), file=sys.stderr)
+            return EXIT_EXHAUSTED
+        except (ValueError, OSError) as exc:
+            _verdict("error")
+            print(str(exc), file=sys.stderr)
+            return EXIT_INPUT
+        except Exception as exc:  # a fault in the program, not in its input
+            _verdict("error")
+            print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL
+        finally:
+            sys.stdout.flush()  # a closed standard output shows here at the latest
+    except BrokenPipeError:
+        # Whoever read standard output has gone; what is still buffered for
+        # it goes to the null device, so the exit itself cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output was closed", file=sys.stderr)
         return EXIT_INPUT
-    except Exception as exc:  # a fault in the program, not in its input
-        _verdict("error")
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

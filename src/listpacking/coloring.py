@@ -1,7 +1,9 @@
 """List assignments, colorings, packings, and their verification.
 
 A packing of size k is k colorings that disagree at every vertex pairwise; it
-is proper when every member is a proper list coloring.  The lift/extract pair
+is proper when every member is a proper list coloring.  One checker,
+`is_proper_packing`, states each of these checks once; `is_proper_coloring`
+is that checker run on the packing of one row.  The lift/extract pair
 realizes the correspondence between packings of G and colorings of G box K_k:
 lists are copied along the second coordinate, and the j-th slice of a product
 coloring becomes the j-th member of the packing.
@@ -10,6 +12,7 @@ coloring becomes the j-th member of the packing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .graphs import Graph, cartesian_product, complete_graph, product_id
 
@@ -95,69 +98,49 @@ def _require_domains(g: Graph, ell: ListAssignment, f: Coloring | None = None) -
     return verts
 
 
-def _row_violations(g: Graph, ell: ListAssignment, f: Coloring, indices: tuple[int, ...] = ()):
-    """List membership at every vertex, then properness at every edge, of a
-    coloring whose domains are already checked.  An injective coloring has
-    no improper edge, so its edges are not read."""
-    lists = ell.lists
-    for v in g.vertices():
-        if f[v] not in lists[v]:
-            yield Violation(NOT_IN_LIST, (v,), indices)
-    if len(set(f.values())) == len(f):
-        return
-    for u, v in g.edges:
-        if f[u] == f[v]:
-            yield Violation(NOT_PROPER, (u, v), indices)
-
-
 def is_proper_coloring(g: Graph, ell: ListAssignment, f: Coloring) -> VerifyReport:
-    """Check list membership at every vertex and properness at every edge."""
+    """Check list membership at every vertex and properness at every edge:
+    the packing check of the one row f, reported without coloring indices."""
     _require_domains(g, ell, f)
-    return VerifyReport.from_violations(_row_violations(g, ell, f))
+    report = is_proper_packing(g, ell, Packing((f,)))
+    if report.ok:
+        return report
+    return VerifyReport.from_violations(Violation(x.kind, x.where) for x in report.violations)
 
 
 def is_proper_packing(g: Graph, ell: ListAssignment, packing: Packing) -> VerifyReport:
     """Check that every row is a proper list coloring and that rows are
-    pairwise distinct at every vertex."""
+    pairwise distinct at every vertex.  One read of each column records
+    where it leaves the list or repeats a color; violations are named only
+    there, and at the edges of the rows that repeat a color."""
     domain = _require_domains(g, ell)
     rows = packing.rows
     for idx, row in enumerate(rows, start=1):
         if row.keys() != domain:
             raise ValueError(f"coloring {idx} domain does not match the vertex set")
-    if _is_packing(g, ell.lists, rows):
-        return _PASSED
-    verts = g.vertices()
-    violations: list[Violation] = []
-    for idx, row in enumerate(rows, start=1):
-        violations.extend(_row_violations(g, ell, row, (idx,)))
-    k = len(rows)
-    for v in verts:
-        col = [row[v] for row in rows]
-        if len(set(col)) == k:
-            continue
-        for i in range(k):
-            for j in range(i + 1, k):
-                if col[i] == col[j]:
-                    violations.append(Violation(NOT_DISJOINT, (v,), (i + 1, j + 1)))
-    return VerifyReport.from_violations(violations)
-
-
-def _is_packing(g: Graph, lists: dict[int, frozenset[int]], rows: tuple[Coloring, ...]) -> bool:
-    """The checks of `is_proper_packing`, on rows whose domains are already
-    checked, stopping at the first failure: True when they find no
-    violation.  As in `_row_violations`, an injective row's edges are not
-    read."""
-    k = len(rows)
+    lists, k = ell.lists, len(rows)
+    off_list: list[int] = []
+    repeats: list[tuple[int, list[int]]] = []
     for v in g.vertices():
         col = [row[v] for row in rows]
-        if len(set(col)) != k or not lists[v].issuperset(col):
-            return False
-    for row in rows:
-        if len(set(row.values())) != len(row):
+        if not lists[v].issuperset(col):
+            off_list.append(v)
+        if len(set(col)) != k:
+            repeats.append((v, col))
+    violations: list[Violation] = []
+    for idx, row in enumerate(rows, start=1):
+        for v in off_list:
+            if row[v] not in lists[v]:
+                violations.append(Violation(NOT_IN_LIST, (v,), (idx,)))
+        if len(set(row.values())) != len(row):  # an injective row has no improper edge
             for u, v in g.edges:
                 if row[u] == row[v]:
-                    return False
-    return True
+                    violations.append(Violation(NOT_PROPER, (u, v), (idx,)))
+    for v, col in repeats:
+        for i, j in combinations(range(k), 2):
+            if col[i] == col[j]:
+                violations.append(Violation(NOT_DISJOINT, (v,), (i + 1, j + 1)))
+    return VerifyReport.from_violations(violations) if violations else _PASSED
 
 
 def lift_lists(g: Graph, ell: ListAssignment, k: int) -> tuple[Graph, ListAssignment]:

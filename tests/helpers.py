@@ -8,8 +8,18 @@ from functools import cache
 from itertools import combinations, permutations
 from pathlib import Path
 
-from listpacking import NOT_DISJOINT, Edge, Graph, ListAssignment, Packing, VerifyReport, Violation
-from listpacking.coloring import _require_domains, _row_violations
+from listpacking import (
+    NOT_DISJOINT,
+    NOT_IN_LIST,
+    NOT_PROPER,
+    Edge,
+    Graph,
+    ListAssignment,
+    Packing,
+    VerifyReport,
+    Violation,
+)
+from listpacking.coloring import _require_domains
 from listpacking.galvin import EdgeColoring, PreferenceSystem, _edge_color_augmenting, _pool_ids
 from listpacking.search import (
     _canonical_lists,
@@ -210,9 +220,25 @@ def reference_stable_matching(pool, prefs: PreferenceSystem) -> set[int]:
     return {i for _, _, i in held.values()}
 
 
+def _row_violations(g: Graph, ell: ListAssignment, f, indices: tuple[int, ...] = ()):
+    """List membership at every vertex, then properness at every edge, of a
+    coloring whose domains are already checked.  An injective coloring has
+    no improper edge, so its edges are not read."""
+    lists = ell.lists
+    for v in g.vertices():
+        if f[v] not in lists[v]:
+            yield Violation(NOT_IN_LIST, (v,), indices)
+    if len(set(f.values())) == len(f):
+        return
+    for u, v in g.edges:
+        if f[u] == f[v]:
+            yield Violation(NOT_PROPER, (u, v), indices)
+
+
 def enumerated_packing_report(g: Graph, ell: ListAssignment, packing: Packing) -> VerifyReport:
-    """`is_proper_packing` without its fast path: every row's violations,
-    then the coinciding row pairs at every vertex, all enumerated."""
+    """The reference for `is_proper_packing`, sharing none of its violation
+    checks: every row's violations, then the coinciding row pairs at every
+    vertex, all enumerated."""
     _require_domains(g, ell)
     verts = g.vertices()
     domain = set(verts)

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -28,7 +31,7 @@ from listpacking.formats import (
     parse_packing,
     parse_vertex_lists,
 )
-from .helpers import long_path_instance
+from .helpers import ROOT, long_path_instance
 
 K3_COL = "c a triangle\np edge 3 3\ne 1 2\ne 1 3\ne 2 3\n"
 
@@ -196,6 +199,28 @@ def test_verify_command_accepts_and_rejects(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "STATUS=negative VALUE="
     assert "not-proper" in out or "not-disjoint" in out
+
+
+def test_verify_command_lists_every_violation_in_order(tmp_path, capsys):
+    # C_5 is not complete: row 3 repeats colors on non-adjacent vertices and
+    # is proper.  Rows 1 and 2 each hold every kind of violation.
+    graph = write(tmp_path, "c5.col", "p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 1 5\n")
+    lists = write(tmp_path, "l.json", lists_json({v: [1, 2, 3] for v in range(1, 6)}))
+    rows = [[1, 1, 7, 8, 1], [1, 2, 3, 3, 9], [2, 3, 2, 3, 1]]
+    packing = write(tmp_path, "p.json", json.dumps({"k": 3, "colorings": rows}))
+    assert main(["verify", "--graph", graph, "--lists", lists, "--packing", packing]) == 1
+    assert capsys.readouterr().out == (
+        "STATUS=negative VALUE=\n"
+        "not-in-list at (3) colorings (1)\n"
+        "not-in-list at (4) colorings (1)\n"
+        "not-proper at (1,2) colorings (1)\n"
+        "not-proper at (1,5) colorings (1)\n"
+        "not-in-list at (5) colorings (2)\n"
+        "not-proper at (3,4) colorings (2)\n"
+        "not-disjoint at (1) colorings (1,2)\n"
+        "not-disjoint at (4) colorings (2,3)\n"
+        "not-disjoint at (5) colorings (1,3)\n"
+    )
 
 
 def test_solve_command_exit_codes(tmp_path, capsys):
@@ -618,3 +643,40 @@ def test_every_subcommand_reports_bad_input_with_a_status_line(
     assert captured.out.splitlines()[0].startswith("STATUS="), captured.out
     assert code in (1, 2, 3)
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["--graph", "p3.col"], ["--graph", "missing.col"], []],
+    ids=["command", "error-handler", "usage-error"],
+)
+def test_a_closed_standard_output_is_an_input_error_without_traceback(
+    tmp_path, unbuffered, argv
+):
+    # stdout is a pipe whose reader has already gone, so every write to it
+    # fails with BrokenPipeError: in the command's own output, in an error
+    # handler's verdict, or in the parser's.
+    (tmp_path / "p3.col").write_text("p edge 3 2\ne 1 2\ne 2 3\n")
+    pythonpath = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = pythonpath
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "listpacking.cli", "chi", *argv],
+            cwd=tmp_path,
+            env=env,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+    assert done.stderr.splitlines()[-1] == "error: standard output was closed"

@@ -1,6 +1,7 @@
 """Property-based tests: the list coloring search against brute force, the
-packing search against the lift route on small random graphs and lists, and
-the constructive packer against the independent packing checker."""
+packing search against the lift route on small random graphs and lists, the
+constructive packer against the independent packing checker, and the
+checkers against the enumerated reference report."""
 
 from __future__ import annotations
 
@@ -17,8 +18,10 @@ from listpacking import (  # noqa: E402
     FOUND,
     Graph,
     ListAssignment,
+    Packing,
     PackRequest,
     SearchBudget,
+    Violation,
     complete_graph,
     is_proper_coloring,
     is_proper_packing,
@@ -27,6 +30,8 @@ from listpacking import (  # noqa: E402
     solve_packing,
     solve_packing_via_lift,
 )
+
+from .helpers import enumerated_packing_report  # noqa: E402
 
 
 def draw_graph(draw, n: int) -> Graph:
@@ -113,3 +118,27 @@ def test_pack_complete_returns_a_proper_packing(instance):
     packing = pack_complete(PackRequest(n, ell, m))
     assert packing.size == m
     assert is_proper_packing(complete_graph(n), ell, packing).ok
+
+
+@st.composite
+def arbitrary_packings(draw):
+    """A graph on at most 6 vertices, lists from 1..4, and 0 to 4 rows whose
+    entries are drawn from 1..6, so they may leave every list."""
+    n = draw(st.integers(0, 6))
+    g = draw_graph(draw, n)
+    one_list = st.sets(st.integers(1, 4), min_size=1, max_size=4)
+    ell = ListAssignment({v: frozenset(draw(one_list)) for v in range(1, n + 1)})
+    one_row = st.lists(st.integers(1, 6), min_size=n, max_size=n)
+    rows = draw(st.lists(one_row, max_size=4))
+    return g, ell, Packing(tuple(dict(enumerate(row, start=1)) for row in rows))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(arbitrary_packings())
+def test_checkers_match_the_enumerated_report(instance):
+    g, ell, packing = instance
+    report = is_proper_packing(g, ell, packing)
+    assert report == enumerated_packing_report(g, ell, packing)
+    for idx, row in enumerate(packing.rows, start=1):
+        own = [Violation(x.kind, x.where) for x in report.violations if x.indices == (idx,)]
+        assert is_proper_coloring(g, ell, row).violations == tuple(own)
