@@ -3,10 +3,10 @@
 Every run prints one machine-parsable verdict line first,
 `STATUS=<ok|negative|error|exhausted> VALUE=<nat or empty>`, followed by
 human-readable detail.  Exit codes: 0 success, 1 certified negative,
-2 input error or standard output closed early, 3 budget exhausted,
-4 internal error.  Positive results are re-verified before anything is
-written; certificates are written even for negative results so failures
-reproduce from artifacts alone.
+2 input error or standard output closed early, 3 budget or memory
+exhausted, 4 internal error.  Positive results are re-verified before
+anything is written; certificates are written even for negative results so
+failures reproduce from artifacts alone.
 """
 
 from __future__ import annotations
@@ -217,6 +217,14 @@ class _Parser(argparse.ArgumentParser):
         sys.stdout.flush()
         super().error(message)  # exits with status 2, EXIT_INPUT
 
+    def _print_message(self, message, file=None):
+        # argparse drops an OSError from the write; a closed standard output
+        # (under --help) goes on to main's handler instead.
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -292,6 +300,13 @@ def main(argv: list[str] | None = None) -> int:
             _verdict("error")
             print(str(exc), file=sys.stderr)
             return EXIT_INPUT
+        except MemoryError:  # a resource ran out, as a budget does
+            _verdict("exhausted")
+            print(
+                "memory exhausted: the input needs more memory than is available",
+                file=sys.stderr,
+            )
+            return EXIT_EXHAUSTED
         except Exception as exc:  # a fault in the program, not in its input
             _verdict("error")
             print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

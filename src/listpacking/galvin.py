@@ -14,14 +14,19 @@ lists of size at least the maximum degree never run dry.
 Cost: once per graph and bipartition, the base coloring is built, each edge
 gets an id (its place in sorted edge order), is oriented into (X-vertex,
 Y-vertex, base color) in id-indexed lists, and each X-vertex's preference order
-is sorted.  These depend on nothing else, so the last pair's tables are kept
-for the next run: for K_{300,300} they hold about 33 MiB, the graph included,
-after the run returns.  Every run still checks the edge lists, builds its color
-index, calls the round functions and verifies the coloring.  The color index
-holds runs of consecutive ids with one first endpoint and one list, each
-keeping a live list of its uncolored ids, so a round's pool is its color's live
-runs joined.  The round functions take ids and run in O(|pool|); deletions are
-read off the final coloring, and the trace decodes ids to edges only when read.
+is sorted, with its edge ids beside it.  These depend on nothing else, so the
+last pair's tables are kept for the next run: for K_{300,300} they hold about
+34 MiB, the graph included, after the run returns.  Every run still checks the
+edge lists, builds its color index, calls the round functions and verifies the
+coloring.  The color index holds runs of consecutive ids with one first
+endpoint and one list, each keeping a live list of its uncolored ids, so a
+round's pool is its color's live runs joined.  The engine range-checks each
+round's pool once and hands the checked set to both round functions, which then
+skip their own check.  The matching walks each proposer's fixed order past its
+non-pool edges in C, and the kernel check runs in O(|pool|); deletions are read
+off the final coloring.  Each round is recorded as (color, pool ids, matched
+ids): the trace sorts the matchings and decodes ids to edges only when its
+rounds are read, so a caller that drops the trace pays for neither.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain, groupby
+from itertools import chain, compress, groupby
 
 from .graphs import Bipartition, Edge, Graph
 
@@ -80,6 +85,11 @@ class PreferenceSystem:
             order.setdefault(x, []).append((c, y, i))
         return {x: tuple(sorted(lst, reverse=True)) for x, lst in order.items()}
 
+    @cached_property
+    def order_ids(self) -> dict[int, tuple[int, ...]]:
+        """x -> the edge ids of order[x], in the same order."""
+        return {x: tuple([i for _, _, i in ts]) for x, ts in self.order.items()}
+
 
 @dataclass(frozen=True, slots=True)
 class RoundTrace:
@@ -101,8 +111,16 @@ class RoundTrace:
 
 @dataclass
 class GalvinTrace:
-    rounds: list[RoundTrace] = field(default_factory=list)
-    deletions: dict[Edge, int] = field(default_factory=dict)
+    """Each round as the engine recorded it, (color, pool ids, matched ids),
+    and each edge's deletion count.  `rounds` is built on first read."""
+
+    records: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = field(repr=False)
+    edges: tuple[Edge, ...] = field(repr=False)
+    deletions: dict[Edge, int]
+
+    @cached_property
+    def rounds(self) -> list[RoundTrace]:
+        return [RoundTrace(c, pool, tuple(sorted(m)), self.edges) for c, pool, m in self.records]
 
 
 def edge_color_bipartite(g: Graph, bip: Bipartition) -> EdgeColoring:
@@ -166,8 +184,17 @@ def _edge_color_augmenting(g: Graph, delta: int) -> EdgeColoring:
     return EdgeColoring(colors, delta)
 
 
-def _pool_ids(pool, prefs: PreferenceSystem) -> set[int]:
-    ids = set(pool)
+class _CheckedPool(frozenset):
+    """A round's pool ids, range-checked by the engine that built it."""
+
+    __slots__ = ()
+
+
+def _pool_ids(pool, prefs: PreferenceSystem) -> frozenset[int]:
+    """The pool's ids as a set, range-checked unless the engine checked them."""
+    if type(pool) is _CheckedPool:
+        return pool
+    ids = frozenset(pool)
     if not ids <= prefs.ids:
         raise ValueError(f"pool holds an edge id outside 0..{len(prefs.edges) - 1}")
     return ids
@@ -188,11 +215,12 @@ def stable_matching(pool, prefs: PreferenceSystem) -> set[int]:
     members = _pool_ids(pool, prefs)
     if not members:
         raise ValueError("stable matching of an empty edge pool is undefined")
-    x_end, order = prefs.oriented[0], prefs.order
+    x_end, order, order_ids = prefs.oriented[0], prefs.order, prefs.order_ids
     # proposals[x] = x's pool edges as (base color, y, edge id), best first:
     # x's fixed order, filtered by pool membership as x proposes.
+    in_pool = members.__contains__
     proposals = {
-        x: (t for t in order[x] if t[2] in members)
+        x: compress(order[x], map(in_pool, order_ids[x]))
         for x in sorted({x_end[i] for i in members})
     }
     held: dict[int, tuple[int, int, int]] = {}  # y -> (base color, x, edge id)
@@ -261,7 +289,7 @@ def list_edge_color_trace(
     a stable matching of the alpha-wanting edges, re-checked by kernel_check,
     and deletes alpha from the unmatched ones."""
     prefs = _preferences(g, bip)  # checks bip before any list is read
-    if set(edge_lists) != set(g.edges):
+    if edge_lists.keys() != g._edge_set:
         raise ValueError("edge list domain does not match the edge set")
     delta = g.max_degree()
     for e, colors in edge_lists.items():
@@ -282,20 +310,23 @@ def list_edge_color_trace(
         for c in colors:
             wanting.setdefault(c, []).append(live)
     color: list[int | None] = [None] * len(edges)
-    rounds: list[RoundTrace] = []
+    records: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
     for alpha in sorted(wanting):
         # A list first: tuple() over an iterator resizes a guessed size, and the
         # resized tuples pile up in per-size free lists until a full collection.
         pool = tuple([*chain.from_iterable(wanting.pop(alpha))])
         if not pool:
             continue
-        matched = stable_matching(pool, prefs)
-        if not kernel_check(pool, prefs, matched):
+        members = _CheckedPool(pool)  # checked here once, for both round functions
+        if not members <= prefs.ids:
+            raise RuntimeError("internal error: round pool holds an id outside the edge ids")
+        matched = stable_matching(members, prefs)
+        if not kernel_check(members, prefs, matched):
             raise RuntimeError("internal error: round matching is not a kernel")
         for i in matched:
             color[i] = alpha
             live_of[i].remove(i)
-        rounds.append(RoundTrace(alpha, pool, tuple(sorted(matched)), edges))
+        records.append((alpha, pool, tuple(matched)))
     if None in color:
         e = edges[color.index(None)]
         raise RuntimeError(f"internal error: list at {e} ran dry: {len(edge_lists[e])} colors")
@@ -304,7 +335,7 @@ def list_edge_color_trace(
     result = dict(zip(edges, color))
     if problems := verify_edge_coloring(g, result, edge_lists):
         raise RuntimeError("internal error: " + "; ".join(problems))
-    trace = GalvinTrace(rounds, dict(zip(edges, deletions)))
+    trace = GalvinTrace(records, edges, dict(zip(edges, deletions)))
     return EdgeColoring(result, max(color, default=0)), trace
 
 

@@ -464,6 +464,22 @@ def test_internal_errors_exit_four(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in captured.err
 
 
+def test_running_out_of_memory_is_exhausted_not_internal(tmp_path, capsys, monkeypatch):
+    import listpacking.cli as cli
+
+    def hungry(g, max_k, budget):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "list_chromatic_number", hungry)
+    graph = write(tmp_path, "k3.col", K3_COL)
+    assert main(["chi-list", "--graph", graph, "--max-k", "2"]) == cli.EXIT_EXHAUSTED == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "STATUS=exhausted VALUE="
+    assert captured.err.splitlines() == [
+        "memory exhausted: the input needs more memory than is available"
+    ]
+
+
 def test_scan_command_table(tmp_path, capsys):
     assert main(["scan", "--size", "3"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -680,3 +696,33 @@ def test_a_closed_standard_output_is_an_input_error_without_traceback(
     assert done.returncode == 2, done.stderr
     assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
     assert done.stderr.splitlines()[-1] == "error: standard output was closed"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["chi-star", "--help"]], ids=["main", "subcommand"]
+)
+def test_help_into_a_closed_standard_output_is_an_input_error(tmp_path, unbuffered, argv):
+    # argparse drops an OSError from its own writes; the help text's must
+    # still reach main's handler, whatever the buffering.
+    pythonpath = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = pythonpath
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "listpacking.cli", *argv],
+            cwd=tmp_path,
+            env=env,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.splitlines() == ["error: standard output was closed"]

@@ -449,6 +449,38 @@ def test_round_functions_reject_out_of_range_pool_ids():
             kernel_check(pool | {bad}, prefs, stable_matching(pool, prefs))
 
 
+def test_round_functions_check_a_tuple_pool_and_a_frozenset_pool():
+    # Only the engine's own pools skip the range check.
+    g, bip = complete_bipartite(2, 2)
+    prefs = _prefs(g, bip)
+    pool = sorted(_ids(prefs, g.edges))
+    matched = stable_matching(pool, prefs)
+    for bad in (-1, len(prefs.edges)):
+        for shape in (tuple, frozenset):
+            with pytest.raises(ValueError, match="outside"):
+                stable_matching(shape([*pool, bad]), prefs)
+            with pytest.raises(ValueError, match="outside"):
+                kernel_check(shape([*pool, bad]), prefs, matched)
+
+
+def test_engine_range_checks_each_round_pool_itself():
+    # Every pool id comes from the id table, so only a table that lost an id
+    # can trip the engine's one check per round: an internal error.
+    from listpacking import galvin
+
+    g, bip = complete_bipartite(3, 3)
+    lists = {e: frozenset({1, 2, 3}) for e in g.edges}
+    galvin._preferences.cache_clear()
+    try:
+        prefs = galvin._preferences(g, bip)
+        prefs.__dict__["ids"] = prefs.ids - {len(prefs.edges) - 1}
+        with pytest.raises(RuntimeError, match="internal error: round pool holds an id"):
+            list_edge_color_trace(g, bip, lists)
+    finally:
+        galvin._preferences.cache_clear()
+    list_edge_color_trace(g, bip, lists)
+
+
 def test_kernel_check_rejects_out_of_range_matching_ids():
     # Not in the pool, so not a kernel, whatever the id.
     g, bip = complete_bipartite(2, 2)
@@ -661,3 +693,30 @@ def test_stable_matching_matches_the_queue_reference_on_every_round_pool(monkeyp
             )
             pack_complete(PackRequest(n, lists, n))
     assert len(pools) > 3000 and max(pools) == n * n
+
+
+def test_the_trace_builds_its_rounds_only_when_read(monkeypatch):
+    # list_edge_color drops the trace, so it builds no RoundTrace at all; a
+    # caller that reads the rounds gets them built once and cached.
+    from listpacking import galvin
+
+    built = []
+    original = galvin.RoundTrace
+
+    def counting(*args):
+        built.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(galvin, "RoundTrace", counting)
+    n = 48
+    g, bip = complete_bipartite(n, n)
+    rng = random.Random(48)
+    lists = {e: frozenset(rng.sample(range(1, n + 3), n)) for e in g.edges}
+    ec = list_edge_color(g, bip, lists)
+    assert built == []
+    ec2, trace = list_edge_color_trace(g, bip, lists)
+    assert ec2 == ec and built == []
+    rounds = trace.rounds
+    assert trace.rounds is rounds
+    assert built == [r.color for r in rounds] and len(rounds) == len(trace.records)
+    assert all(list(r.matched_ids) == sorted(r.matched_ids) for r in rounds)
