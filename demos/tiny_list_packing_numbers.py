@@ -6,7 +6,12 @@ yields one k-assignment per color-renaming class (colors never need to exceed
 n*k), and the backtracking solvers certify packability or its absence for
 each one.  The last column reports the ratio chi_star / chi_list, the
 quantity whose boundedness is an open question.
+
+Piped into a reader that exits early, it stops with exit 1 and no traceback.
 """
+
+import os
+import sys
 
 from listpacking import (
     BoundExceededError,
@@ -39,31 +44,45 @@ zoo = {
     "K_4": complete_graph(4),
 }
 
-print(f"{'graph':<9} {'chi':>4} {'chi_list':>9} {'chi_star':>9} {'ratio':>6}")
-results = {}
-for name, g in zoo.items():
-    chi = chromatic_number(g)
+
+def main() -> None:
+    print(f"{'graph':<9} {'chi':>4} {'chi_list':>9} {'chi_star':>9} {'ratio':>6}")
+    results = {}
+    for name, g in zoo.items():
+        chi = chromatic_number(g)
+        try:
+            chi_list = list_chromatic_number(g, 4).value
+            chi_star = list_packing_number(g, 4).value
+            results[name] = (g, chi_star)
+            print(f"{name:<9} {chi:>4} {chi_list:>9} {chi_star:>9} {chi_star/chi_list:>6.2f}")
+        except BoundExceededError:
+            print(f"{name:<9} {chi:>4} {'>4':>9} {'>4':>9} {'?':>6}")
+
+    print(
+        "\nK_4 is the slow row: certifying its value 4 means packing 332 canonical\n"
+        "4-assignments, one per class under its 24 automorphisms, standing for all\n"
+        "4079 classes under color renaming.\n"
+    )
+
+    # C_4 is the fun row: its list chromatic number is 2, but its list packing
+    # number is 3.  Here is the certificate: a 2-assignment with no 2-packing.
+    g = cycle(4)
+    cert = list_packing_number(g, 3)
+    print(f"C_4: chi_star = {cert.value}; a 2-assignment with no packing of size 2:")
+    for v in g.vertices():
+        print(f"  L({v}) = {sorted(cert.lower_witness[v])}")
+    refail = solve_packing(g, cert.lower_witness, 2)
+    print(f"re-running the exhaustive search on the witness: {refail.status}")
+    print(f"at k = 3, all {cert.upper_evidence} canonical 3-assignments pack.")
+
+
+if __name__ == "__main__":
     try:
-        chi_list = list_chromatic_number(g, 4).value
-        chi_star = list_packing_number(g, 4).value
-        results[name] = (g, chi_star)
-        print(f"{name:<9} {chi:>4} {chi_list:>9} {chi_star:>9} {chi_star/chi_list:>6.2f}")
-    except BoundExceededError:
-        print(f"{name:<9} {chi:>4} {'>4':>9} {'>4':>9} {'?':>6}")
-
-print("""
-K_4 is the slow row: certifying its value 4 means packing 332 canonical
-4-assignments, one per class under its 24 automorphisms, standing for all
-4079 classes under color renaming.
-""")
-
-# C_4 is the fun row: its list chromatic number is 2, but its list packing
-# number is 3.  Here is the certificate: a 2-assignment with no 2-packing.
-g = cycle(4)
-cert = list_packing_number(g, 3)
-print(f"C_4: chi_star = {cert.value}; a 2-assignment with no packing of size 2:")
-for v in g.vertices():
-    print(f"  L({v}) = {sorted(cert.lower_witness[v])}")
-refail = solve_packing(g, cert.lower_witness, 2)
-print(f"re-running the exhaustive search on the witness: {refail.status}")
-print(f"at k = 3, all {cert.upper_evidence} canonical 3-assignments pack.")
+        main()
+        sys.stdout.flush()  # a closed standard output shows here at the latest
+    except BrokenPipeError:
+        # The reader left early, as `| head` does.  Point standard output at
+        # devnull so the exit flush raises nothing either, and exit 1.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)

@@ -13,28 +13,36 @@ lists of size at least the maximum degree never run dry.
 
 Cost: once per graph and bipartition, the base coloring is built, each edge
 gets an id (its place in sorted edge order), is oriented into (X-vertex,
-Y-vertex, base color) in id-indexed lists, and each X-vertex's preference order
-is sorted, with its edge ids beside it.  These depend on nothing else, so the
-last pair's tables are kept for the next run: for K_{300,300} they hold about
-34 MiB, the graph included, after the run returns.  Every run still checks the
-edge lists, builds its color index, calls the round functions and verifies the
-coloring.  The color index holds runs of consecutive ids with one first
-endpoint and one list, each keeping a live list of its uncolored ids, so a
-round's pool is its color's live runs joined.  The engine range-checks each
-round's pool once and hands the checked set to both round functions, which then
-skip their own check.  The matching walks each proposer's fixed order past its
-non-pool edges in C, and the kernel check runs in O(|pool|); deletions are read
-off the final coloring.  Each round is recorded as (color, pool ids, matched
-ids): the trace sorts the matchings and decodes ids to edges only when its
-rounds are read, so a caller that drops the trace pays for neither.
+Y-vertex, base color) in id-indexed lists, and each X-vertex's edge ids are
+sorted into its preference order.  These depend on nothing else, so the last
+pair's tables are kept for the next run: for K_{300,300} they hold about
+31 MiB, the graph included, after the run returns.  Every run still checks
+the edge lists, builds its color index, calls the round functions and
+verifies the coloring.  The color index holds runs of consecutive ids with
+one first endpoint and one list, each keeping a live list of its uncolored
+ids, so a round's pool is its color's live runs joined.  The engine
+range-checks each run's ids once, as it builds the runs; runs only lose ids,
+so every pool is checked before the first round, and both round functions
+skip their own check.  The matching filters each proposer's ids by pool
+membership in C, reading the rest off the id-indexed lists, and the kernel
+check makes one pass over the pool with the matched base colors in dicts
+keyed by the matched vertices.  Neither round function allocates anything
+sized by the vertex count, so a round costs O(|pool|) even when the graph
+has far more vertices than the pool has edges, as on a sparse graph with
+many colors; deletions are read off the final coloring.  Each round
+is recorded as (color, pool ids, matched ids): the trace sorts the matchings
+and decodes ids to edges only when its rounds are read, so a caller that
+drops the trace pays for neither.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain, compress, groupby
+from itertools import chain, groupby
+from operator import itemgetter
 
 from .graphs import Bipartition, Edge, Graph
 
@@ -78,17 +86,25 @@ class PreferenceSystem:
         return [x for x, _ in ends], [y for _, y in ends], colors
 
     @cached_property
-    def order(self) -> dict[int, tuple[tuple[int, int, int], ...]]:
-        """x -> x's edges as (base color, y, edge id), best (highest) first."""
-        order: dict[int, list[tuple[int, int, int]]] = {}
-        for i, x, y, c in zip(self.index.values(), *self.oriented):  # reuse index's ints
-            order.setdefault(x, []).append((c, y, i))
-        return {x: tuple(sorted(lst, reverse=True)) for x, lst in order.items()}
+    def order_ids(self) -> dict[int, tuple[int, ...]]:
+        """x -> the ids of x's edges, best (highest base color) first."""
+        x_end, _, colors = self.oriented
+        order: dict[int, list[int]] = {}
+        for i, x in zip(self.index.values(), x_end):  # reuse index's ints
+            order.setdefault(x, []).append(i)
+        # A proper base coloring gives x's edges distinct colors: a strict order.
+        return {
+            x: tuple(sorted(ids, key=colors.__getitem__, reverse=True)) for x, ids in order.items()
+        }
 
     @cached_property
-    def order_ids(self) -> dict[int, tuple[int, ...]]:
-        """x -> the edge ids of order[x], in the same order."""
-        return {x: tuple([i for _, _, i in ts]) for x, ts in self.order.items()}
+    def order(self) -> dict[int, tuple[tuple[int, int, int], ...]]:
+        """x -> x's edges as (base color, y, edge id), best first: order_ids
+        spelled out, built on first read.  The engine never reads it."""
+        _, y_end, colors = self.oriented
+        return {
+            x: tuple([(colors[i], y_end[i], i) for i in ids]) for x, ids in self.order_ids.items()
+        }
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,7 +201,9 @@ def _edge_color_augmenting(g: Graph, delta: int) -> EdgeColoring:
 
 
 class _CheckedPool(frozenset):
-    """A round's pool ids, range-checked by the engine that built it."""
+    """A round's pool ids, built by the engine from its runs.  The engine
+    range-checks each run's ids once, as it builds the runs; a pool is a
+    union of live runs and runs only lose ids, so its ids are checked."""
 
     __slots__ = ()
 
@@ -215,26 +233,23 @@ def stable_matching(pool, prefs: PreferenceSystem) -> set[int]:
     members = _pool_ids(pool, prefs)
     if not members:
         raise ValueError("stable matching of an empty edge pool is undefined")
-    x_end, order, order_ids = prefs.oriented[0], prefs.order, prefs.order_ids
-    # proposals[x] = x's pool edges as (base color, y, edge id), best first:
-    # x's fixed order, filtered by pool membership as x proposes.
-    in_pool = members.__contains__
-    proposals = {
-        x: compress(order[x], map(in_pool, order_ids[x]))
-        for x in sorted({x_end[i] for i in members})
-    }
-    held: dict[int, tuple[int, int, int]] = {}  # y -> (base color, x, edge id)
-    for x in proposals:
-        # x proposes until some y holds it or its pool edges run out; a
-        # holder it displaces takes over from where that holder stopped.
-        while (proposal := next(proposals[x], None)) is not None:
-            c, y, i = proposal
+    x_end, y_end, base_color = prefs.oriented
+    order_ids, in_pool = prefs.order_ids, members.__contains__
+    # y -> (base color, edge id, the holder's proposals not yet made)
+    held: dict[int, tuple[int, int, Iterator[int]]] = {}
+    for x in sorted({x_end[i] for i in members}):
+        # x's pool edges, best first: its fixed order filtered as it proposes.
+        # x proposes until some y holds it or its pool edges run out; a holder
+        # it displaces takes over from where that holder stopped.
+        proposals = filter(in_pool, order_ids[x])
+        while (i := next(proposals, None)) is not None:
+            y, c = y_end[i], base_color[i]
             if y not in held:
-                held[y] = (c, x, i)
+                held[y] = (c, i, proposals)
                 break
             if c < held[y][0]:
-                held[y], x = (c, x, i), held[y][1]
-    return {i for _, _, i in held.values()}
+                held[y], proposals = (c, i, proposals), held[y][2]
+    return {i for _, i, _ in held.values()}
 
 
 def kernel_check(pool, prefs: PreferenceSystem, matching) -> bool:
@@ -248,7 +263,8 @@ def kernel_check(pool, prefs: PreferenceSystem, matching) -> bool:
         return False
     x_end, y_end, base_color = prefs.oriented
     # matched_at_x[x] / matched_at_y[y] = the base color of the one matched
-    # edge at that vertex; it decides absorption there.
+    # edge at that vertex; it decides absorption there.  Both hold |m| keys,
+    # so a round costs O(|pool|) however many vertices the graph has.
     matched_at_x: dict[int, int] = {}
     matched_at_y: dict[int, int] = {}
     for i in m:
@@ -256,10 +272,13 @@ def kernel_check(pool, prefs: PreferenceSystem, matching) -> bool:
         if x in matched_at_x or y in matched_at_y:
             return False  # two matched edges share a vertex
         matched_at_x[x] = matched_at_y[y] = base_color[i]
-    for i in pool - m:
+    at_x, at_y = matched_at_x.get, matched_at_y.get
+    for i in pool:
         c = base_color[i]
-        # Base colors are positive, so the defaults never absorb.
-        if matched_at_x.get(x_end[i], 0) <= c and matched_at_y.get(y_end[i], c) >= c:
+        # Base colors are positive, so the defaults never absorb.  A proper
+        # base coloring gives no other edge at x or y the color c, so only a
+        # matched edge meets its own color at both ends.
+        if at_x(x_end[i], 0) <= c and at_y(y_end[i], c) >= c and i not in m:
             return False
     return True
 
@@ -303,8 +322,12 @@ def list_edge_color_trace(
     runs: list[tuple[range, list[int]]] = []  # (ids, sorted list)
     live_of: list[list[int]] = []  # id -> its run's live list
     wanting: dict[int, list[list[int]]] = {}
-    for (_, colors), group in groupby(index.items(), lambda kv: (kv[0][0], edge_lists[kv[0]])):
+    keys = zip(map(itemgetter(0), edges), map(edge_lists.__getitem__, edges))
+    for (_, colors), group in groupby(zip(keys, index.values()), itemgetter(0)):
         live = [i for _, i in group]  # index's ints: one object per id
+        # Checked once here: a pool is a union of live runs, which only shrink.
+        if not prefs.ids.issuperset(live):
+            raise RuntimeError("internal error: round pool holds an id outside the edge ids")
         runs.append((range(live[0], live[-1] + 1), sorted(colors)))
         live_of += [live] * len(live)
         for c in colors:
@@ -317,9 +340,7 @@ def list_edge_color_trace(
         pool = tuple([*chain.from_iterable(wanting.pop(alpha))])
         if not pool:
             continue
-        members = _CheckedPool(pool)  # checked here once, for both round functions
-        if not members <= prefs.ids:
-            raise RuntimeError("internal error: round pool holds an id outside the edge ids")
+        members = _CheckedPool(pool)  # one set for both round functions
         matched = stable_matching(members, prefs)
         if not kernel_check(members, prefs, matched):
             raise RuntimeError("internal error: round matching is not a kernel")
@@ -344,7 +365,7 @@ def verify_edge_coloring(
 ) -> list[str]:
     """Independent checker: totality, properness at every vertex, and (when
     lists are given) pointwise list membership.  Returns problem strings."""
-    if set(colors) != set(g.edges):
+    if colors.keys() != g._edge_set:
         return ["coloring does not cover the edge set exactly"]
     problems = []
     for v in g.vertices():

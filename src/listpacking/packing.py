@@ -65,7 +65,7 @@ def pack_complete(req: PackRequest) -> Packing:
             f"packing size m={m} below n={n}: the construction needs m >= n"
         )
     knm, bip = _complete_bipartite(n, m)
-    edge_lists = {(i, n + j): lists[i] for i in range(1, n + 1) for j in range(1, m + 1)}
+    edge_lists = {e: lists[e[0]] for e in knm.edges}  # edge x_i y_j takes L(v_i)
     ec = list_edge_color(knm, bip, edge_lists)
     packing = Packing(
         tuple({i: ec.colors[(i, n + j)] for i in g.vertices()} for j in range(1, m + 1))

@@ -220,6 +220,40 @@ def reference_stable_matching(pool, prefs: PreferenceSystem) -> set[int]:
     return {i for _, _, i in held.values()}
 
 
+def reference_kernel_check(pool, prefs: PreferenceSystem, matching) -> bool:
+    """`galvin.kernel_check` in its earlier shape, kept as its oracle: the
+    matched base colors in vertex-keyed dicts, and the pool edges outside the
+    matching taken as a set difference."""
+    pool = _pool_ids(pool, prefs)
+    m = set(matching)
+    if not m <= pool:
+        return False
+    x_end, y_end, base_color = prefs.oriented
+    matched_at_x: dict[int, int] = {}
+    matched_at_y: dict[int, int] = {}
+    for i in m:
+        x, y = x_end[i], y_end[i]
+        if x in matched_at_x or y in matched_at_y:
+            return False  # two matched edges share a vertex
+        matched_at_x[x] = matched_at_y[y] = base_color[i]
+    for i in pool - m:
+        c = base_color[i]
+        # Base colors are positive, so the defaults never absorb.
+        if matched_at_x.get(x_end[i], 0) <= c and matched_at_y.get(y_end[i], c) >= c:
+            return False
+    return True
+
+
+def reference_order(prefs: PreferenceSystem) -> dict[int, tuple[tuple[int, int, int], ...]]:
+    """`PreferenceSystem.order` as it was built before it was derived from
+    `order_ids`: x -> x's edges as (base color, y, edge id), sorted highest
+    first, X-vertices in the order of their first edge id."""
+    order: dict[int, list[tuple[int, int, int]]] = {}
+    for i, (x, y, c) in enumerate(zip(*prefs.oriented)):
+        order.setdefault(x, []).append((c, y, i))
+    return {x: tuple(sorted(lst, reverse=True)) for x, lst in order.items()}
+
+
 def _row_violations(g: Graph, ell: ListAssignment, f, indices: tuple[int, ...] = ()):
     """List membership at every vertex, then properness at every edge, of a
     coloring whose domains are already checked.  An injective coloring has

@@ -11,17 +11,44 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def _demo_env(**extra) -> dict[str, str]:
+    src = str(ROOT / "src")
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=pythonpath, **extra)
+
+
 def test_demos_exist():
     assert DEMOS
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo):
-    src = str(ROOT / "src")
-    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=pythonpath)
     done = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, str(demo)], env=_demo_env(), capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_into_a_closed_pipe_exits_1_without_a_traceback(demo, unbuffered):
+    # The reader is gone before the first write, as when `| head -c0` exits
+    # first; unbuffered, the first print fails, buffered (PYTHONUNBUFFERED
+    # empty counts as unset), the closing flush.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, str(demo)],
+            env=_demo_env(PYTHONUNBUFFERED=unbuffered),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in done.stderr, done.stderr
+    assert "Exception ignored" not in done.stderr, done.stderr
+    assert done.returncode == 1, done.stderr

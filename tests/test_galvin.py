@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -23,7 +24,13 @@ from listpacking import (
     stable_matching,
     verify_edge_coloring,
 )
-from .helpers import cycle_graph, reference_edge_color_augmenting, reference_stable_matching
+from .helpers import (
+    cycle_graph,
+    reference_edge_color_augmenting,
+    reference_kernel_check,
+    reference_order,
+    reference_stable_matching,
+)
 
 
 def test_closed_form_on_k23():
@@ -720,3 +727,117 @@ def test_the_trace_builds_its_rounds_only_when_read(monkeypatch):
     assert trace.rounds is rounds
     assert built == [r.color for r in rounds] and len(rounds) == len(trace.records)
     assert all(list(r.matched_ids) == sorted(r.matched_ids) for r in rounds)
+
+
+def _k48_requests():
+    """The benchmark's shape: m-assignments of K_48 with m = 48, lists from
+    50 and from 48^2 colors, two seeds each."""
+    n = 48
+    for palette in (n + 2, n * n):
+        for seed in (1, 2):
+            rng = random.Random(seed)
+            lists = ListAssignment(
+                {v: frozenset(rng.sample(range(1, palette + 1), n)) for v in range(1, n + 1)}
+            )
+            yield PackRequest(n, lists, n)
+
+
+def test_kernel_check_matches_the_set_difference_reference_on_every_round_pool(monkeypatch):
+    # The one-pass check returns the earlier set-difference version's verdict
+    # (kept in tests/helpers.py) on every pool the engine forms, for three
+    # matchings: the engine's own, that one less an edge, and that one plus
+    # an unmatched pool edge.  The pools are the 200 seeded random instances'
+    # and the four K_48 pack_complete inputs'.
+    from listpacking import galvin
+
+    original = galvin.kernel_check
+    verdicts = Counter()
+    fully_matched = 0
+
+    def checking(pool, prefs, matching):
+        nonlocal fully_matched
+        matched = set(matching)
+        fully_matched += matched == pool
+        variants = [matched, matched - {min(matched)}]
+        if unmatched := pool - matched:
+            variants.append(matched | {min(unmatched)})
+        for m in variants:
+            verdict = original(pool, prefs, m)
+            assert verdict == reference_kernel_check(pool, prefs, m), (sorted(pool), sorted(m))
+            verdicts[verdict] += 1
+        return original(pool, prefs, matching)
+
+    monkeypatch.setattr(galvin, "kernel_check", checking)
+    rng = random.Random(2207)
+    for _ in range(200):
+        list_edge_color_trace(*_random_engine_instance(rng))
+    for request in _k48_requests():
+        pack_complete(request)
+    # Every engine matching is a kernel and neither variant is; a pool the
+    # matching covers whole has no edge to add, and tests that a matching
+    # may equal its pool.
+    rounds = verdicts[True]
+    assert rounds > 3000 and fully_matched > 100
+    assert verdicts == Counter({True: rounds, False: 2 * rounds - fully_matched})
+
+
+def test_round_functions_allocate_nothing_sized_by_the_vertex_count():
+    # A round costs O(|pool|): on a perfect matching of 2 * 20,000 vertices,
+    # matching and checking a one-edge pool take a few hundred bytes, not a
+    # table as long as the vertex set.  With a distinct one-color list per
+    # edge, the engine runs 20,000 such rounds there.
+    n = 20_000
+    g = Graph.from_edges(2 * n, [(k, n + k) for k in range(1, n + 1)])
+    bip = Bipartition(frozenset(range(1, n + 1)), frozenset(range(n + 1, 2 * n + 1)))
+    prefs = _prefs(g, bip)
+    assert stable_matching((7,), prefs) == {7}  # builds the cached tables
+    tracemalloc.start()
+    try:
+        assert stable_matching((7,), prefs) == {7}
+        assert kernel_check((7,), prefs, {7}) and not kernel_check((7,), prefs, ())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_384, peak
+
+
+def test_order_keeps_its_earlier_value():
+    # order is now spelled out from order_ids on first read; it equals the
+    # earlier directly sorted table (tests/helpers.py), keys in the same
+    # order, on K_{3,3}, on its swapped sides and on a graph whose base
+    # coloring flips an alternating path.
+    g, bip = complete_bipartite(3, 3)
+    flip = Graph.from_edges(
+        8, [(1, 4), (1, 7), (1, 8), (2, 5), (2, 6), (2, 8), (3, 4), (3, 6), (3, 7)]
+    )
+    for g, bip in ((g, bip), (g, Bipartition(bip.Y, bip.X)), (flip, bipartition(flip))):
+        prefs = _prefs(g, bip)
+        expected = reference_order(prefs)
+        assert list(prefs.order.items()) == list(expected.items())
+        assert prefs.order_ids == {x: tuple(i for *_, i in ts) for x, ts in expected.items()}
+
+
+def test_the_engine_never_reads_the_spelled_out_order(monkeypatch):
+    # The matching reads order_ids alone, so order stays unbuilt in the
+    # per-graph cache; counted by a property standing in for it.
+    from listpacking import galvin
+
+    reads = []
+    spelled_out = galvin.PreferenceSystem.order.func
+
+    def counting(prefs):
+        reads.append(prefs)
+        return spelled_out(prefs)
+
+    monkeypatch.setattr(galvin.PreferenceSystem, "order", property(counting))
+    galvin._preferences.cache_clear()
+    n = 48
+    g, bip = complete_bipartite(n, n)
+    rng = random.Random(48)
+    lists = {e: frozenset(rng.sample(range(1, n + 3), n)) for e in g.edges}
+    list_edge_color(g, bip, lists)
+    for request in _k48_requests():
+        pack_complete(request)
+    assert reads == []
+    prefs = galvin._preferences(g, bip)
+    assert prefs.order == reference_order(prefs) and reads == [prefs]
