@@ -126,7 +126,10 @@ def cmd_verify(args) -> int:
 def cmd_edge_color(args) -> int:
     g = _load_graph(args)
     # The lists file is checked before bipartition walks every vertex, so a
-    # bad one costs what it weighs, whatever n the graph header declares.
+    # bad one is refused before any per-vertex work.  A good one still pays
+    # for every vertex the header declares: on an edgeless graph the lists
+    # file is `{}`, yet bipartition and the coloring check walk all n
+    # vertices (ROADMAP item 6).
     edge_lists = parse_edge_lists(_read(args.edge_lists), g)
     bip = bipartition(g)
     ec = list_edge_color(g, bip, edge_lists)

@@ -18,20 +18,23 @@ sorted into its preference order.  These depend on nothing else, so the last
 pair's tables are kept for the next run: for K_{300,300} they hold about
 31 MiB, the graph included, after the run returns.  Every run still checks
 the edge lists, builds its color index, calls the round functions and
-verifies the coloring.  The color index holds runs of consecutive ids with
-one first endpoint and one list, each keeping a live list of its uncolored
-ids, so a round's pool is its color's live runs joined.  The engine
-range-checks each run's ids once, as it builds the runs; runs only lose ids,
-so every pool is checked before the first round, and both round functions
-skip their own check.  The matching filters each proposer's ids by pool
-membership in C, reading the rest off the id-indexed lists, and the kernel
-check makes one pass over the pool with the matched base colors in dicts
-keyed by the matched vertices.  Neither round function allocates anything
-sized by the vertex count, so a round costs O(|pool|) even when the graph
-has far more vertices than the pool has edges, as on a sparse graph with
-many colors; deletions are read off the final coloring.  Each round
-is recorded as (color, pool ids, matched ids): the trace sorts the matchings
-and decodes ids to edges only when its rounds are read, so a caller that
+verifies the coloring.  The color index holds groups: an X-vertex's edge ids
+with one list, kept in that vertex's preference order as a live list of the
+uncolored ones.  The engine range-checks every id once per call; groups only
+lose ids, so every pool is checked before the first round.  A round's
+proposers are its color's live groups, except that an X-vertex with several
+groups wanting the color gets their ids merged best first, which only a list
+per edge brings about.  Both round functions get the pool as a tuple of ids
+with those proposer sequences attached, so no round hashes its pool: the
+matching walks the sequences, reading the rest off the id-indexed lists, and
+the kernel check makes one pass over the pool with the matched base colors in
+dicts keyed by the matched vertices, counting the distinct matched ids it
+meets.  Neither round function allocates anything sized by the vertex count,
+so a round costs O(|pool|) even when the graph has far more vertices than the
+pool has edges, as on a sparse graph with many colors.  Each round is
+recorded as (color, pool ids, matched ids): the trace sorts pools and
+matchings and decodes ids to edges only when its rounds are read, and counts
+deletions off the final coloring only when they are read, so a caller that
 drops the trace pays for neither.
 """
 
@@ -42,7 +45,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, groupby
-from operator import itemgetter
 
 from .graphs import Bipartition, Edge, Graph
 
@@ -128,15 +130,30 @@ class RoundTrace:
 @dataclass
 class GalvinTrace:
     """Each round as the engine recorded it, (color, pool ids, matched ids),
-    and each edge's deletion count.  `rounds` is built on first read."""
+    and per edge id its list and its color.  `rounds` and `deletions` are
+    built on first read."""
 
     records: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = field(repr=False)
     edges: tuple[Edge, ...] = field(repr=False)
-    deletions: dict[Edge, int]
+    lists: list[frozenset[int]] = field(repr=False)
+    colors: list[int] = field(repr=False)
 
     @cached_property
     def rounds(self) -> list[RoundTrace]:
-        return [RoundTrace(c, pool, tuple(sorted(m)), self.edges) for c, pool, m in self.records]
+        return [
+            RoundTrace(c, tuple(sorted(pool)), tuple(sorted(m)), self.edges)
+            for c, pool, m in self.records
+        ]
+
+    @cached_property
+    def deletions(self) -> dict[Edge, int]:
+        """Edge -> the colors it deleted.  An edge is in the pool, and
+        unmatched, at each color of its list below its own."""
+        ranked = {colors: sorted(colors) for colors in set(self.lists)}
+        return {
+            e: bisect_left(ranked[colors], c)
+            for e, colors, c in zip(self.edges, self.lists, self.colors)
+        }
 
 
 def edge_color_bipartite(g: Graph, bip: Bipartition) -> EdgeColoring:
@@ -200,22 +217,34 @@ def _edge_color_augmenting(g: Graph, delta: int) -> EdgeColoring:
     return EdgeColoring(colors, delta)
 
 
-class _CheckedPool(frozenset):
-    """A round's pool ids, built by the engine from its runs.  The engine
-    range-checks each run's ids once, as it builds the runs; a pool is a
-    union of live runs and runs only lose ids, so its ids are checked."""
+class _CheckedPool(tuple):
+    """A round's pool ids, each once, with `proposals`: per proposer, its
+    pool ids best first (highest base color).  The engine builds it from its
+    groups, whose ids it range-checks once per call; the round functions
+    bring any other pool to this form through `_checked_pool`."""
 
-    __slots__ = ()
+    proposals: list[list[int]]
 
 
 def _pool_ids(pool, prefs: PreferenceSystem) -> frozenset[int]:
-    """The pool's ids as a set, range-checked unless the engine checked them."""
-    if type(pool) is _CheckedPool:
-        return pool
+    """The pool's ids as a set, range-checked."""
     ids = frozenset(pool)
     if not ids <= prefs.ids:
         raise ValueError(f"pool holds an edge id outside 0..{len(prefs.edges) - 1}")
     return ids
+
+
+def _checked_pool(pool, prefs: PreferenceSystem) -> _CheckedPool:
+    """A tuple or set pool in the engine's form: its ids once each,
+    range-checked, grouped by proposer and sorted best first."""
+    ids = _pool_ids(pool, prefs)
+    x_end, _, base_color = prefs.oriented
+    proposals: dict[int, list[int]] = {}
+    for i in sorted(ids, key=base_color.__getitem__, reverse=True):
+        proposals.setdefault(x_end[i], []).append(i)
+    checked = _CheckedPool(ids)
+    checked.proposals = list(proposals.values())
+    return checked
 
 
 def stable_matching(pool, prefs: PreferenceSystem) -> set[int]:
@@ -227,21 +256,21 @@ def stable_matching(pool, prefs: PreferenceSystem) -> set[int]:
     pool edge xy shares x with a matched edge of higher base color or shares y
     with a matched edge of lower base color.
 
-    Proposers take turns and a displaced one resumes at once: the order of
-    proposals does not change the X-optimal result (McVitie and Wilson 1971)
-    as long as preferences are strict, which a proper base coloring ensures."""
-    members = _pool_ids(pool, prefs)
-    if not members:
+    Each proposer walks its own sequence of the pool's `proposals`, already
+    best first, so no pool id is hashed or looked up.  Proposers take turns
+    and a displaced one resumes at once: the order of proposals does not
+    change the X-optimal result (McVitie and Wilson 1971) as long as
+    preferences are strict, which a proper base coloring ensures."""
+    if type(pool) is not _CheckedPool:
+        pool = _checked_pool(pool, prefs)
+    if not pool:
         raise ValueError("stable matching of an empty edge pool is undefined")
-    x_end, y_end, base_color = prefs.oriented
-    order_ids, in_pool = prefs.order_ids, members.__contains__
+    _, y_end, base_color = prefs.oriented
     # y -> (base color, edge id, the holder's proposals not yet made)
     held: dict[int, tuple[int, int, Iterator[int]]] = {}
-    for x in sorted({x_end[i] for i in members}):
-        # x's pool edges, best first: its fixed order filtered as it proposes.
+    for proposals in map(iter, pool.proposals):
         # x proposes until some y holds it or its pool edges run out; a holder
         # it displaces takes over from where that holder stopped.
-        proposals = filter(in_pool, order_ids[x])
         while (i := next(proposals, None)) is not None:
             y, c = y_end[i], base_color[i]
             if y not in held:
@@ -257,10 +286,11 @@ def kernel_check(pool, prefs: PreferenceSystem, matching) -> bool:
     edge ids: the matching (ids too) lies inside the pool, is vertex-disjoint,
     and absorbs every other pool edge xy by a matched edge at x of higher base
     color or a matched edge at y of lower base color."""
-    pool = _pool_ids(pool, prefs)
+    if type(pool) is not _CheckedPool:
+        pool = _checked_pool(pool, prefs)
     m = set(matching)
-    if not m <= pool:
-        return False
+    if not m <= prefs.ids:
+        return False  # an id outside the edge ids lies in no pool
     x_end, y_end, base_color = prefs.oriented
     # matched_at_x[x] / matched_at_y[y] = the base color of the one matched
     # edge at that vertex; it decides absorption there.  Both hold |m| keys,
@@ -273,14 +303,17 @@ def kernel_check(pool, prefs: PreferenceSystem, matching) -> bool:
             return False  # two matched edges share a vertex
         matched_at_x[x] = matched_at_y[y] = base_color[i]
     at_x, at_y = matched_at_x.get, matched_at_y.get
+    met: set[int] = set()  # the matched ids seen in the pool
     for i in pool:
         c = base_color[i]
         # Base colors are positive, so the defaults never absorb.  A proper
         # base coloring gives no other edge at x or y the color c, so only a
         # matched edge meets its own color at both ends.
-        if at_x(x_end[i], 0) <= c and at_y(y_end[i], c) >= c and i not in m:
-            return False
-    return True
+        if at_x(x_end[i], 0) <= c and at_y(y_end[i], c) >= c:
+            if i not in m:
+                return False
+            met.add(i)
+    return len(met) == len(m)  # every matched id lies in the pool
 
 
 @lru_cache(maxsize=1)
@@ -314,50 +347,69 @@ def list_edge_color_trace(
     for e, colors in edge_lists.items():
         if len(colors) < delta:
             raise ValueError(f"list at edge {e} has {len(colors)} colors, need at least {delta}")
-    edges, index = prefs.edges, prefs.index
-    # Runs: blocks of consecutive ids with one first endpoint and one list.
-    # wanting[c] = the runs whose list holds c, ascending, so joining each
-    # color's live runs, colors upward, gives the rounds' sorted pools.  A
-    # vertex-disjoint matching takes at most one id of a run per round.
-    runs: list[tuple[range, list[int]]] = []  # (ids, sorted list)
-    live_of: list[list[int]] = []  # id -> its run's live list
+    edges = prefs.edges
+    x_end, _, base_color = prefs.oriented
+    order_ids = prefs.order_ids
+    # Checked once here: every group id comes from order_ids, and groups only
+    # lose ids, so every pool is checked before the first round.
+    if not prefs.ids.issuperset(chain.from_iterable(order_ids.values())):
+        raise RuntimeError("internal error: round pool holds an id outside the edge ids")
+    lists = [*map(edge_lists.__getitem__, edges)]  # id -> its list
+    # Groups: an X-vertex's ids with one list, kept best first as a live list
+    # of the uncolored ones.  wanting[c] = the live lists of the groups whose
+    # list holds c, one per X-vertex; merging[c] = per X-vertex with several
+    # such groups, their live lists, to be merged best first each round.
+    groups_at: dict[int, dict[frozenset[int], list[int]]] = {}
     wanting: dict[int, list[list[int]]] = {}
-    keys = zip(map(itemgetter(0), edges), map(edge_lists.__getitem__, edges))
-    for (_, colors), group in groupby(zip(keys, index.values()), itemgetter(0)):
-        live = [i for _, i in group]  # index's ints: one object per id
-        # Checked once here: a pool is a union of live runs, which only shrink.
-        if not prefs.ids.issuperset(live):
-            raise RuntimeError("internal error: round pool holds an id outside the edge ids")
-        runs.append((range(live[0], live[-1] + 1), sorted(colors)))
-        live_of += [live] * len(live)
-        for c in colors:
-            wanting.setdefault(c, []).append(live)
+    merging: dict[int, list[list[list[int]]]] = {}
+    for x, ids in order_ids.items():
+        groups = groups_at[x] = {}
+        for colors, run in groupby(ids, lists.__getitem__):
+            groups.setdefault(colors, []).extend(run)  # index's ints: one object per id
+        if len(groups) == 1:  # one list at x, as in pack_complete: about 4% of a call
+            [(colors, live)] = groups.items()
+            for c in colors:
+                wanting.setdefault(c, []).append(live)
+            continue
+        by_color: dict[int, list[list[int]]] = {}
+        for colors, live in groups.items():
+            for c in colors:
+                by_color.setdefault(c, []).append(live)
+        for c, lives in by_color.items():
+            if len(lives) == 1:
+                wanting.setdefault(c, []).append(lives[0])
+            else:
+                merging.setdefault(c, []).append(lives)
     color: list[int | None] = [None] * len(edges)
     records: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
-    for alpha in sorted(wanting):
+    for alpha in sorted(wanting.keys() | merging.keys()):
+        # One sequence per proposer, best first: the pool needs no set.
+        proposals = [live for live in wanting.pop(alpha, ()) if live]
+        for lives in merging.pop(alpha, ()):
+            merged = sorted(chain.from_iterable(lives), key=base_color.__getitem__, reverse=True)
+            if merged:
+                proposals.append(merged)
+        if not proposals:
+            continue
         # A list first: tuple() over an iterator resizes a guessed size, and the
         # resized tuples pile up in per-size free lists until a full collection.
-        pool = tuple([*chain.from_iterable(wanting.pop(alpha))])
-        if not pool:
-            continue
-        members = _CheckedPool(pool)  # one set for both round functions
-        matched = stable_matching(members, prefs)
-        if not kernel_check(members, prefs, matched):
+        pool = tuple([*chain.from_iterable(proposals)])
+        checked = _CheckedPool(pool)
+        checked.proposals = proposals
+        matched = stable_matching(checked, prefs)
+        if not kernel_check(checked, prefs, matched):
             raise RuntimeError("internal error: round matching is not a kernel")
         for i in matched:
             color[i] = alpha
-            live_of[i].remove(i)
+            groups_at[x_end[i]][lists[i]].remove(i)
         records.append((alpha, pool, tuple(matched)))
     if None in color:
         e = edges[color.index(None)]
         raise RuntimeError(f"internal error: list at {e} ran dry: {len(edge_lists[e])} colors")
-    # An edge is in the pool, and unmatched, at each color of its list below its own.
-    deletions = [bisect_left(ranked, color[i]) for ids, ranked in runs for i in ids]
     result = dict(zip(edges, color))
     if problems := verify_edge_coloring(g, result, edge_lists):
         raise RuntimeError("internal error: " + "; ".join(problems))
-    trace = GalvinTrace(records, edges, dict(zip(edges, deletions)))
-    return EdgeColoring(result, max(color, default=0)), trace
+    return EdgeColoring(result, max(color, default=0)), GalvinTrace(records, edges, lists, color)
 
 
 def verify_edge_coloring(

@@ -331,6 +331,20 @@ def test_pack_complete_output_file_is_unchanged(tmp_path, capsys):
         assert out.read_bytes() == (data / "k12_pack_complete.json").read_bytes()
 
 
+def test_edge_color_output_file_is_unchanged_on_per_edge_lists(tmp_path, capsys):
+    # A seeded 60% sample of K_{6,7}'s edges with a list per edge: its base
+    # coloring flips an alternating path, and X-vertices hold edges of several
+    # lists that want one color.  The pinned file was written by the engine
+    # that joined per-run pools and hashed each one.
+    data = Path(__file__).parent / "data"
+    graph, lists = str(data / "k67_sub60.col"), str(data / "k67_sub60_edge_lists.json")
+    out = tmp_path / "ec.json"
+    for _ in range(2):  # a cold call, then one on the cached tables
+        assert main(["edge-color", "--graph", graph, "--edge-lists", lists, "-o", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "STATUS=ok VALUE=6"
+        assert out.read_bytes() == (data / "k67_sub60_edge_color.json").read_bytes()
+
+
 def test_chi_list_k24_certificate_is_unchanged(tmp_path, capsys):
     # Written by the scan that ran a cold search on every assignment.
     pinned = Path(__file__).parent / "data" / "k24_chi_list_max_k3.json"

@@ -4,7 +4,7 @@ import hashlib
 import random
 import tracemalloc
 from collections import Counter
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
@@ -444,6 +444,20 @@ def test_kernel_check_rejects_matched_edge_outside_pool():
     assert not kernel_check(_ids(prefs, [(1, 3), (1, 4)]), prefs, _ids(prefs, [(1, 4), (2, 3)]))
 
 
+def test_kernel_check_counts_each_matched_id_in_the_pool_once():
+    # The check proves the matching lies in the pool by counting the matched
+    # ids it meets there, so a pool that meets one matched id twice must not
+    # stand in for one that holds two.  K_{2,2}: (1,3) and (2,4) are disjoint
+    # and the pool holds only (1,3), twice.
+    from listpacking.galvin import _CheckedPool
+
+    g, bip = complete_bipartite(2, 2)
+    prefs = _prefs(g, bip)
+    a, b = prefs.index[(1, 3)], prefs.index[(2, 4)]
+    assert kernel_check(_CheckedPool((a, b)), prefs, {a, b})
+    assert not kernel_check(_CheckedPool((a, a)), prefs, {a, b})
+
+
 def test_round_functions_reject_out_of_range_pool_ids():
     # A negative id would silently index from the end of the id tables.
     g, bip = complete_bipartite(2, 2)
@@ -757,9 +771,9 @@ def test_kernel_check_matches_the_set_difference_reference_on_every_round_pool(m
     def checking(pool, prefs, matching):
         nonlocal fully_matched
         matched = set(matching)
-        fully_matched += matched == pool
+        fully_matched += matched == frozenset(pool)
         variants = [matched, matched - {min(matched)}]
-        if unmatched := pool - matched:
+        if unmatched := frozenset(pool) - matched:
             variants.append(matched | {min(unmatched)})
         for m in variants:
             verdict = original(pool, prefs, m)
@@ -841,3 +855,100 @@ def test_the_engine_never_reads_the_spelled_out_order(monkeypatch):
     assert reads == []
     prefs = galvin._preferences(g, bip)
     assert prefs.order == reference_order(prefs) and reads == [prefs]
+
+
+def test_stable_matching_matches_the_queue_reference_where_x_vertices_merge_groups(monkeypatch):
+    # With a list per edge, an X-vertex can hold several groups (its edges of
+    # one list) that want one color; the engine merges their live ids best
+    # first for that round.  On every round pool of seeded per-edge instances,
+    # complete and not, each proposer's sequence is its pool edges best first,
+    # the sequences split the pool, and the matching is the FIFO-queue one.
+    from listpacking import galvin
+
+    original = galvin.stable_matching
+    merged_rounds = 0
+
+    def checking(pool, prefs):
+        nonlocal merged_rounds
+        x_end, _, base_color = prefs.oriented
+        for ids in pool.proposals:
+            assert len({x_end[i] for i in ids}) == 1
+            assert [base_color[i] for i in ids] == sorted(map(base_color.__getitem__, ids))[::-1]
+            merged_rounds += len({lists[prefs.edges[i]] for i in ids}) > 1
+        assert sorted(chain.from_iterable(pool.proposals)) == sorted(pool)
+        matched = original(pool, prefs)
+        assert matched == reference_stable_matching(pool, prefs), sorted(pool)
+        return matched
+
+    monkeypatch.setattr(galvin, "stable_matching", checking)
+    rng = random.Random(2817)
+    for _ in range(100):
+        n, m = rng.randint(2, 7), rng.randint(2, 7)
+        g, bip = complete_bipartite(n, m) if rng.random() < 0.5 else _random_bipartite(rng, n, m)
+        delta = g.max_degree()
+        palette = range(1, delta + rng.randint(1, 3))
+        lists = {e: frozenset(rng.sample(palette, delta)) for e in g.edges}
+        list_edge_color_trace(g, bip, lists)
+    assert merged_rounds > 500
+
+
+def test_the_engine_never_sends_a_round_through_the_public_pool_normalizer(monkeypatch):
+    # The engine hands both round functions pools already in their form, so
+    # no round pool is rehashed or range-checked again; a tuple or set pool
+    # from any other caller still is.
+    from listpacking import galvin
+
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(galvin, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in ("_checked_pool", "_pool_ids"):
+        monkeypatch.setattr(galvin, name, counting(name))
+    rng = random.Random(2207)
+    for _ in range(200):
+        list_edge_color_trace(*_random_engine_instance(rng))
+    for request in _k48_requests():
+        pack_complete(request)
+    assert calls == Counter()
+    g, bip = complete_bipartite(2, 2)
+    prefs = _prefs(g, bip)
+    pool = _ids(prefs, g.edges)
+    assert kernel_check(pool, prefs, stable_matching(tuple(pool), prefs))
+    assert calls == Counter({"_checked_pool": 2, "_pool_ids": 2})
+
+
+def test_only_a_read_of_the_deletions_counts_them(monkeypatch):
+    # list_edge_color and pack_complete drop the trace, so they count no
+    # deletions; a caller that reads them gets one bisect per edge, once,
+    # and each count equals the colors of the edge's list below its own.
+    from listpacking import galvin
+
+    bisects = []
+    original = galvin.bisect_left
+
+    def counting(ranked, c):
+        bisects.append(c)
+        return original(ranked, c)
+
+    monkeypatch.setattr(galvin, "bisect_left", counting)
+    n = 40
+    g, bip = complete_bipartite(n, n)
+    rng = random.Random(40)
+    lists = {e: frozenset(rng.sample(range(1, 2 * n + 1), n)) for e in g.edges}
+    ec = list_edge_color(g, bip, lists)
+    for request in _k48_requests():
+        pack_complete(request)
+    assert bisects == []
+    ec2, trace = list_edge_color_trace(g, bip, lists)
+    assert ec2 == ec and bisects == []
+    deletions = trace.deletions
+    assert trace.deletions is deletions and len(bisects) == len(g.edges)
+    assert list(deletions) == list(g.edges)
+    assert deletions == {e: sum(c < ec.colors[e] for c in lists[e]) for e in g.edges}
