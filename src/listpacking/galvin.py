@@ -14,28 +14,27 @@ lists of size at least the maximum degree never run dry.
 Cost: once per graph and bipartition, the base coloring is built, each edge
 gets an id (its place in sorted edge order), is oriented into (X-vertex,
 Y-vertex, base color) in id-indexed lists, and each X-vertex's edge ids are
-sorted into its preference order.  These depend on nothing else, so the last
+sorted into its preference order, which is checked there to be a strict
+order of that vertex's edge ids.  These depend on nothing else, so the last
 pair's tables are kept for the next run: for K_{300,300} they hold about
-31 MiB, the graph included, after the run returns.  Every run still checks
+27 MiB, the graph included, after the run returns.  Every run still checks
 the edge lists, builds its color index, calls the round functions and
 verifies the coloring.  The color index holds groups: an X-vertex's edge ids
 with one list, kept in that vertex's preference order as a live list of the
-uncolored ones.  The engine range-checks every id once per call; groups only
-lose ids, so every pool is checked before the first round.  A round's
-proposers are its color's live groups, except that an X-vertex with several
-groups wanting the color gets their ids merged best first, which only a list
-per edge brings about.  Both round functions get the pool as a tuple of ids
-with those proposer sequences attached, so no round hashes its pool: the
-matching walks the sequences, reading the rest off the id-indexed lists, and
-the kernel check makes one pass over the pool with the matched base colors in
-dicts keyed by the matched vertices, counting the distinct matched ids it
-meets.  Neither round function allocates anything sized by the vertex count,
-so a round costs O(|pool|) even when the graph has far more vertices than the
-pool has edges, as on a sparse graph with many colors.  Each round is
-recorded as (color, pool ids, matched ids): the trace sorts pools and
+uncolored ones.  A round's proposers are its color's live groups, except
+that an X-vertex with several groups wanting the color gets their ids merged
+best first, which only a list per edge brings about.  Both round functions
+get the pool as those proposer sequences alone, so no round builds its pool:
+the matching walks the sequences, reading the rest off the id-indexed lists,
+and the kernel check reads each sequence only up to the proposer's matched
+edge, the ids it proposed along, since the order absorbs those behind it at
+x.  Neither round function allocates anything sized by the vertex count, so
+a round costs O(proposals made), even when the graph has far more vertices
+than the pool has edges.  Each round is recorded as (color, matched ids):
+the trace rebuilds pools off the lists and the final coloring, sorts
 matchings and decodes ids to edges only when its rounds are read, and counts
-deletions off the final coloring only when they are read, so a caller that
-drops the trace pays for neither.
+deletions only when they are read, so a caller that drops the trace pays
+for none of it.
 """
 
 from __future__ import annotations
@@ -45,6 +44,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, groupby
+from operator import gt
 
 from .graphs import Bipartition, Edge, Graph
 
@@ -71,11 +71,6 @@ class PreferenceSystem:
         return tuple(sorted(self.base.colors))
 
     @cached_property
-    def ids(self) -> frozenset[int]:
-        """Every edge id: a pool is checked against it."""
-        return frozenset(self.index.values())  # reuse index's ints
-
-    @cached_property
     def index(self) -> dict[Edge, int]:
         """Edge -> edge id."""
         return {e: i for i, e in enumerate(self.edges)}
@@ -89,15 +84,27 @@ class PreferenceSystem:
 
     @cached_property
     def order_ids(self) -> dict[int, tuple[int, ...]]:
-        """x -> the ids of x's edges, best (highest base color) first."""
+        """x -> the ids of x's edges, best (highest base color) first.
+
+        Every proposer sequence a round sees is cut from these tuples, so
+        they are checked once here: each id is an edge id, has X-end x, and
+        the base colors fall strictly along x's tuple, as a proper base
+        coloring gives x's edges distinct colors."""
         x_end, _, colors = self.oriented
+        edge_ids = range(len(self.edges))
         order: dict[int, list[int]] = {}
         for i, x in zip(self.index.values(), x_end):  # reuse index's ints
+            if i not in edge_ids:
+                raise RuntimeError("internal error: round pool holds an id outside the edge ids")
             order.setdefault(x, []).append(i)
-        # A proper base coloring gives x's edges distinct colors: a strict order.
-        return {
-            x: tuple(sorted(ids, key=colors.__getitem__, reverse=True)) for x, ids in order.items()
-        }
+        order_ids: dict[int, tuple[int, ...]] = {}
+        for x, ids in order.items():
+            ids.sort(key=colors.__getitem__, reverse=True)
+            ranks = [colors[i] for i in ids]
+            if any(x_end[i] != x for i in ids) or not all(map(gt, ranks, ranks[1:])):
+                raise RuntimeError(f"internal error: X-vertex {x}'s base colors are not distinct")
+            order_ids[x] = tuple(ids)
+        return order_ids
 
     @cached_property
     def order(self) -> dict[int, tuple[tuple[int, int, int], ...]]:
@@ -129,20 +136,27 @@ class RoundTrace:
 
 @dataclass
 class GalvinTrace:
-    """Each round as the engine recorded it, (color, pool ids, matched ids),
-    and per edge id its list and its color.  `rounds` and `deletions` are
-    built on first read."""
+    """Each round as the engine recorded it, (color, matched ids), and per
+    edge id its list and its color.  `rounds` and `deletions` are built on
+    first read."""
 
-    records: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = field(repr=False)
+    records: list[tuple[int, tuple[int, ...]]] = field(repr=False)
     edges: tuple[Edge, ...] = field(repr=False)
     lists: list[frozenset[int]] = field(repr=False)
     colors: list[int] = field(repr=False)
 
     @cached_property
     def rounds(self) -> list[RoundTrace]:
+        """The rounds with their pools rebuilt: edge i wants color a, and is
+        in round a's pool, exactly while a lies in its list and is not
+        above its own color."""
+        pools: dict[int, list[int]] = {c: [] for c, _ in self.records}
+        for i, (colors, own) in enumerate(zip(self.lists, self.colors)):
+            for c in colors:
+                if c <= own:
+                    pools[c].append(i)
         return [
-            RoundTrace(c, tuple(sorted(pool)), tuple(sorted(m)), self.edges)
-            for c, pool, m in self.records
+            RoundTrace(c, tuple(pools[c]), tuple(sorted(m)), self.edges) for c, m in self.records
         ]
 
     @cached_property
@@ -217,19 +231,31 @@ def _edge_color_augmenting(g: Graph, delta: int) -> EdgeColoring:
     return EdgeColoring(colors, delta)
 
 
-class _CheckedPool(tuple):
-    """A round's pool ids, each once, with `proposals`: per proposer, its
-    pool ids best first (highest base color).  The engine builds it from its
-    groups, whose ids it range-checks once per call; the round functions
-    bring any other pool to this form through `_checked_pool`."""
+class _CheckedPool:
+    """A round's pool as `proposals`: one nonempty sequence per X-vertex of
+    the pool, holding that vertex's pool ids in strictly decreasing base
+    color, best first.  Iterating it, or taking its length, runs over those
+    ids.  Only the engine and `_checked_pool` build one, and each keeps this
+    order: the engine's live lists are filtered from `order_ids`, whose order
+    is checked where it is built, and only lose ids; it sorts the ids it
+    merges; `_checked_pool` sorts a public pool."""
 
-    proposals: list[list[int]]
+    __slots__ = ("proposals",)
+
+    def __init__(self, proposals: list[list[int]]) -> None:
+        self.proposals = proposals
+
+    def __iter__(self) -> Iterator[int]:
+        return chain.from_iterable(self.proposals)
+
+    def __len__(self) -> int:
+        return sum(map(len, self.proposals))
 
 
 def _pool_ids(pool, prefs: PreferenceSystem) -> frozenset[int]:
     """The pool's ids as a set, range-checked."""
     ids = frozenset(pool)
-    if not ids <= prefs.ids:
+    if not all(map(range(len(prefs.edges)).__contains__, ids)):
         raise ValueError(f"pool holds an edge id outside 0..{len(prefs.edges) - 1}")
     return ids
 
@@ -242,9 +268,7 @@ def _checked_pool(pool, prefs: PreferenceSystem) -> _CheckedPool:
     proposals: dict[int, list[int]] = {}
     for i in sorted(ids, key=base_color.__getitem__, reverse=True):
         proposals.setdefault(x_end[i], []).append(i)
-    checked = _CheckedPool(ids)
-    checked.proposals = list(proposals.values())
-    return checked
+    return _CheckedPool(list(proposals.values()))
 
 
 def stable_matching(pool, prefs: PreferenceSystem) -> set[int]:
@@ -263,7 +287,7 @@ def stable_matching(pool, prefs: PreferenceSystem) -> set[int]:
     preferences are strict, which a proper base coloring ensures."""
     if type(pool) is not _CheckedPool:
         pool = _checked_pool(pool, prefs)
-    if not pool:
+    if not pool.proposals:
         raise ValueError("stable matching of an empty edge pool is undefined")
     _, y_end, base_color = prefs.oriented
     # y -> (base color, edge id, the holder's proposals not yet made)
@@ -282,38 +306,52 @@ def stable_matching(pool, prefs: PreferenceSystem) -> set[int]:
 
 
 def kernel_check(pool, prefs: PreferenceSystem, matching) -> bool:
-    """Test of the stable_matching postcondition in one pass over a pool of
-    edge ids: the matching (ids too) lies inside the pool, is vertex-disjoint,
-    and absorbs every other pool edge xy by a matched edge at x of higher base
-    color or a matched edge at y of lower base color."""
+    """Test of the stable_matching postcondition on a pool of edge ids: the
+    matching (ids too) lies inside the pool, is vertex-disjoint, and absorbs
+    every other pool edge xy by a matched edge at x of higher base color or
+    a matched edge at y of lower base color.
+
+    It reads only the pool edges ahead of each match.  A proposer's sequence
+    falls strictly in base color, so the edges behind x's matched edge are
+    absorbed at x by it, and those ahead of it, or all of x's edges when x
+    has none, must be absorbed at y.  The matched ids found in their
+    proposers' sequences must number |m|, which proves m lies in the pool."""
     if type(pool) is not _CheckedPool:
         pool = _checked_pool(pool, prefs)
     m = set(matching)
-    if not m <= prefs.ids:
+    if not all(map(range(len(prefs.edges)).__contains__, m)):
         return False  # an id outside the edge ids lies in no pool
     x_end, y_end, base_color = prefs.oriented
-    # matched_at_x[x] / matched_at_y[y] = the base color of the one matched
-    # edge at that vertex; it decides absorption there.  Both hold |m| keys,
-    # so a round costs O(|pool|) however many vertices the graph has.
+    # matched_at_x[x] = the id of the one matched edge at x; matched_at_y[y]
+    # = its base color, which decides absorption at y.  Both hold |m| keys,
+    # so a round allocates nothing sized by the vertex count.
     matched_at_x: dict[int, int] = {}
     matched_at_y: dict[int, int] = {}
     for i in m:
         x, y = x_end[i], y_end[i]
         if x in matched_at_x or y in matched_at_y:
             return False  # two matched edges share a vertex
-        matched_at_x[x] = matched_at_y[y] = base_color[i]
-    at_x, at_y = matched_at_x.get, matched_at_y.get
-    met: set[int] = set()  # the matched ids seen in the pool
-    for i in pool:
-        c = base_color[i]
-        # Base colors are positive, so the defaults never absorb.  A proper
-        # base coloring gives no other edge at x or y the color c, so only a
-        # matched edge meets its own color at both ends.
-        if at_x(x_end[i], 0) <= c and at_y(y_end[i], c) >= c:
-            if i not in m:
+        matched_at_x[x] = i
+        matched_at_y[y] = base_color[i]
+    at_y, pop = matched_at_y.get, matched_at_x.pop
+    found = 0  # the matched ids met in their proposers' sequences
+    for ids in pool.proposals:
+        # Popped, so a pool naming x twice cannot count x's match twice.
+        i = pop(x_end[ids[0]], None)
+        ahead = ids
+        if i is not None:
+            try:
+                ahead = ids[: ids.index(i)]
+            except ValueError:
+                return False  # x's matched edge is not in the pool
+            found += 1
+        for j in ahead:
+            c = base_color[j]
+            # Base colors are positive, and no other edge at y has the color
+            # c, so the default c marks a y that absorbs nothing.
+            if at_y(y_end[j], c) >= c:
                 return False
-            met.add(i)
-    return len(met) == len(m)  # every matched id lies in the pool
+    return found == len(m)
 
 
 @lru_cache(maxsize=1)
@@ -349,11 +387,7 @@ def list_edge_color_trace(
             raise ValueError(f"list at edge {e} has {len(colors)} colors, need at least {delta}")
     edges = prefs.edges
     x_end, _, base_color = prefs.oriented
-    order_ids = prefs.order_ids
-    # Checked once here: every group id comes from order_ids, and groups only
-    # lose ids, so every pool is checked before the first round.
-    if not prefs.ids.issuperset(chain.from_iterable(order_ids.values())):
-        raise RuntimeError("internal error: round pool holds an id outside the edge ids")
+    order_ids = prefs.order_ids  # range- and order-checked once per graph
     lists = [*map(edge_lists.__getitem__, edges)]  # id -> its list
     # Groups: an X-vertex's ids with one list, kept best first as a live list
     # of the uncolored ones.  wanting[c] = the live lists of the groups whose
@@ -381,7 +415,7 @@ def list_edge_color_trace(
             else:
                 merging.setdefault(c, []).append(lives)
     color: list[int | None] = [None] * len(edges)
-    records: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
+    records: list[tuple[int, tuple[int, ...]]] = []
     for alpha in sorted(wanting.keys() | merging.keys()):
         # One sequence per proposer, best first: the pool needs no set.
         proposals = [live for live in wanting.pop(alpha, ()) if live]
@@ -391,18 +425,14 @@ def list_edge_color_trace(
                 proposals.append(merged)
         if not proposals:
             continue
-        # A list first: tuple() over an iterator resizes a guessed size, and the
-        # resized tuples pile up in per-size free lists until a full collection.
-        pool = tuple([*chain.from_iterable(proposals)])
-        checked = _CheckedPool(pool)
-        checked.proposals = proposals
-        matched = stable_matching(checked, prefs)
-        if not kernel_check(checked, prefs, matched):
+        pool = _CheckedPool(proposals)
+        matched = stable_matching(pool, prefs)
+        if not kernel_check(pool, prefs, matched):
             raise RuntimeError("internal error: round matching is not a kernel")
         for i in matched:
             color[i] = alpha
             groups_at[x_end[i]][lists[i]].remove(i)
-        records.append((alpha, pool, tuple(matched)))
+        records.append((alpha, tuple(matched)))
     if None in color:
         e = edges[color.index(None)]
         raise RuntimeError(f"internal error: list at {e} ran dry: {len(edge_lists[e])} colors")

@@ -52,3 +52,15 @@ def test_demo_into_a_closed_pipe_exits_1_without_a_traceback(demo, unbuffered):
     assert "Traceback" not in done.stderr, done.stderr
     assert "Exception ignored" not in done.stderr, done.stderr
     assert done.returncode == 1, done.stderr
+
+
+def test_round_by_round_demo_prints_its_pinned_rounds():
+    # The demo prints every round's pool, rebuilt on read from the lists and
+    # the coloring, and each deletion count; pinned from an engine that kept
+    # each round's pool.
+    demo = ROOT / "demos" / "galvin_round_by_round.py"
+    done = subprocess.run(
+        [sys.executable, str(demo)], env=_demo_env(), capture_output=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (ROOT / "tests" / "data" / "galvin_round_by_round.txt").read_bytes()

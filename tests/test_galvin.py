@@ -448,14 +448,14 @@ def test_kernel_check_counts_each_matched_id_in_the_pool_once():
     # The check proves the matching lies in the pool by counting the matched
     # ids it meets there, so a pool that meets one matched id twice must not
     # stand in for one that holds two.  K_{2,2}: (1,3) and (2,4) are disjoint
-    # and the pool holds only (1,3), twice.
+    # and the pool holds only (1,3), as two proposer sequences.
     from listpacking.galvin import _CheckedPool
 
     g, bip = complete_bipartite(2, 2)
     prefs = _prefs(g, bip)
     a, b = prefs.index[(1, 3)], prefs.index[(2, 4)]
-    assert kernel_check(_CheckedPool((a, b)), prefs, {a, b})
-    assert not kernel_check(_CheckedPool((a, a)), prefs, {a, b})
+    assert kernel_check(_CheckedPool([[a], [b]]), prefs, {a, b})
+    assert not kernel_check(_CheckedPool([[a], [a]]), prefs, {a, b})
 
 
 def test_round_functions_reject_out_of_range_pool_ids():
@@ -485,8 +485,9 @@ def test_round_functions_check_a_tuple_pool_and_a_frozenset_pool():
 
 
 def test_engine_range_checks_each_round_pool_itself():
-    # Every pool id comes from the id table, so only a table that lost an id
-    # can trip the engine's one check per round: an internal error.
+    # Every pool id comes from order_ids, range-checked where it is built,
+    # so only an id table gone past the edge ids can trip that check: an
+    # internal error.
     from listpacking import galvin
 
     g, bip = complete_bipartite(3, 3)
@@ -494,7 +495,7 @@ def test_engine_range_checks_each_round_pool_itself():
     galvin._preferences.cache_clear()
     try:
         prefs = galvin._preferences(g, bip)
-        prefs.__dict__["ids"] = prefs.ids - {len(prefs.edges) - 1}
+        prefs.__dict__["index"] = {e: i + 1 for i, e in enumerate(prefs.edges)}
         with pytest.raises(RuntimeError, match="internal error: round pool holds an id"):
             list_edge_color_trace(g, bip, lists)
     finally:
@@ -952,3 +953,169 @@ def test_only_a_read_of_the_deletions_counts_them(monkeypatch):
     assert trace.deletions is deletions and len(bisects) == len(g.edges)
     assert list(deletions) == list(g.edges)
     assert deletions == {e: sum(c < ec.colors[e] for c in lists[e]) for e in g.edges}
+
+
+def test_kernel_check_matches_the_reference_on_every_subset_of_small_pools():
+    # Seeded random bipartite graphs, a pool of at most 10 of their edges,
+    # and every subset of the pool as the matching, alone and with an edge
+    # from outside the pool: the check that reads only the edges ahead of
+    # each match returns the set-difference reference's verdict, with the
+    # pool as a tuple, as a set and in the engine's form.
+    from listpacking.galvin import _checked_pool
+
+    rng = random.Random(1029)
+    verdicts = Counter()
+    for _ in range(40):
+        n, m = rng.randint(2, 6), rng.randint(2, 6)
+        g, bip = complete_bipartite(n, m) if rng.random() < 0.4 else _random_bipartite(rng, n, m)
+        prefs = _prefs(g, bip)
+        pool = rng.sample(range(len(prefs.edges)), min(len(prefs.edges), rng.randint(6, 10)))
+        shapes = (tuple(pool), set(pool), _checked_pool(pool, prefs))
+        outside = tuple(i for i in range(len(prefs.edges)) if i not in pool)[:1]
+        for size in range(len(pool) + 1):
+            for subset in combinations(pool, size):
+                for matching in {subset, subset + outside}:
+                    expected = reference_kernel_check(pool, prefs, matching)
+                    for shape in shapes:
+                        assert kernel_check(shape, prefs, matching) == expected, (pool, matching)
+                    verdicts[expected] += 1
+    # Every pool has a stable matching among its subsets.
+    assert verdicts[True] >= 40 and verdicts[False] > 10 * verdicts[True], verdicts
+
+
+def _per_edge_instances(rng, count):
+    """Bipartite graphs, complete or not, with a list per edge from a palette
+    barely wider than the maximum degree, so X-vertices often merge groups."""
+    for _ in range(count):
+        n, m = rng.randint(2, 7), rng.randint(2, 7)
+        g, bip = complete_bipartite(n, m) if rng.random() < 0.5 else _random_bipartite(rng, n, m)
+        delta = g.max_degree()
+        palette = range(1, delta + rng.randint(1, 3))
+        yield g, bip, {e: frozenset(rng.sample(palette, delta)) for e in g.edges}
+
+
+def test_kernel_check_matches_the_reference_where_one_match_moves(monkeypatch):
+    # On every round pool of the 200 seeded random instances, the per-edge
+    # instances and the K_48 inputs, one proposer (drawn per round) has its
+    # match moved one step worse in its sequence, one step better, or taken
+    # away, with "unmatched" the place past its worst edge.  Each variant
+    # gets the reference's verdict.  A move that changes a kernel breaks it,
+    # so True comes where the move leaves the proposer where it was: worse
+    # or away from unmatched, better from its best edge.
+    from listpacking import galvin
+
+    original = galvin.kernel_check
+    draw = random.Random(5)
+    verdicts = {kind: Counter() for kind in ("worse", "better", "unmatched")}
+
+    def checking(pool, prefs, matching):
+        ids = draw.choice(pool.proposals)
+        rest = set(matching).difference(ids)
+        place = next((k for k, i in enumerate(ids) if i in matching), len(ids))
+        places = {
+            "worse": min(place + 1, len(ids)),
+            "better": max(place - 1, 0),
+            "unmatched": len(ids),
+        }
+        for kind, k in places.items():
+            m = rest | set(ids[k : k + 1])
+            verdict = original(pool, prefs, m)
+            assert verdict == reference_kernel_check(pool, prefs, m), (kind, sorted(pool), m)
+            assert verdict == (k == place)
+            verdicts[kind][verdict] += 1
+        return original(pool, prefs, matching)
+
+    monkeypatch.setattr(galvin, "kernel_check", checking)
+    rng = random.Random(2207)
+    for _ in range(200):
+        list_edge_color_trace(*_random_engine_instance(rng))
+    rng = random.Random(2817)
+    for instance in _per_edge_instances(rng, 100):
+        list_edge_color_trace(*instance)
+    for request in _k48_requests():
+        pack_complete(request)
+    for kind, counts in verdicts.items():
+        assert counts[True] > 100 and counts[False] > 100, (kind, counts)
+
+
+def test_the_trace_rebuilds_each_round_pool_the_matching_saw(monkeypatch):
+    # Rounds are recorded without their pools; trace.rounds rebuilds each
+    # one off the lists and the final coloring.  Every rebuilt pool equals
+    # the sorted ids that stable_matching was handed in that round, on the
+    # random, the per-edge and the K_48 instances.
+    from listpacking import galvin
+
+    seen: list[list[int]] = []
+    checked_runs = 0
+    matching, engine = galvin.stable_matching, galvin.list_edge_color_trace
+
+    def recording(pool, prefs):
+        seen.append(sorted(pool))
+        return matching(pool, prefs)
+
+    def checking(*args):
+        nonlocal checked_runs
+        seen.clear()
+        coloring, trace = engine(*args)
+        assert [list(r.pool_ids) for r in trace.rounds] == seen
+        checked_runs += 1
+        return coloring, trace
+
+    monkeypatch.setattr(galvin, "stable_matching", recording)
+    monkeypatch.setattr(galvin, "list_edge_color_trace", checking)
+    rng = random.Random(2207)
+    for _ in range(200):
+        galvin.list_edge_color_trace(*_random_engine_instance(rng))
+    rng = random.Random(2817)
+    for instance in _per_edge_instances(rng, 100):
+        galvin.list_edge_color_trace(*instance)
+    for request in _k48_requests():
+        pack_complete(request)
+    assert checked_runs == 304
+
+
+def test_list_edge_color_keeps_no_round_pool():
+    # An m-assignment of K_{150,150} from m + 2 colors, one list per X-vertex
+    # as pack_complete makes: the rounds' pools hold about 1.7 million ids
+    # in all, about 15 MiB of tracemalloc peak when each round kept its pool
+    # as a tuple.  Kept as (color, matched ids), the call peaks near 2.4 MiB.
+    n = 150
+    g, bip = complete_bipartite(n, n)
+    rng = random.Random(150)
+    per_x = {x: frozenset(rng.sample(range(1, n + 3), n)) for x in range(1, n + 1)}
+    lists = {e: per_x[e[0]] for e in g.edges}
+    expected = list_edge_color(g, bip, lists)  # builds the cached tables
+    tracemalloc.start()
+    try:
+        assert list_edge_color(g, bip, lists) == expected
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20, peak
+
+
+def test_an_improper_base_coloring_fails_before_any_round(monkeypatch):
+    # The order check where order_ids is built is what lets the kernel check
+    # read only the edges ahead of each match, so a base coloring that ties
+    # two edges at one X-vertex must stop the engine before a round runs.
+    from listpacking import galvin
+
+    def tied(g, bip):
+        ec = edge_color_bipartite(g, bip)
+        colors = dict(ec.colors)
+        colors[(1, 5)] = colors[(1, 4)]
+        return galvin.EdgeColoring(colors, ec.palette_size)
+
+    calls = []
+    monkeypatch.setattr(galvin, "edge_color_bipartite", tied)
+    monkeypatch.setattr(galvin, "stable_matching", lambda *args: calls.append(args))
+    monkeypatch.setattr(galvin, "kernel_check", lambda *args: calls.append(args))
+    g, bip = complete_bipartite(3, 3)
+    lists = {e: frozenset({1, 2, 3}) for e in g.edges}
+    galvin._preferences.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="internal error: X-vertex 1's base colors"):
+            list_edge_color(g, bip, lists)
+    finally:
+        galvin._preferences.cache_clear()
+    assert calls == []
