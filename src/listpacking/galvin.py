@@ -17,7 +17,8 @@ Y-vertex, base color) in id-indexed lists, and each X-vertex's edge ids are
 sorted into its preference order, which is checked there to be a strict
 order of that vertex's edge ids.  These depend on nothing else, so the last
 pair's tables are kept for the next run: for K_{300,300} they hold about
-27 MiB, the graph included, after the run returns.  Every run still checks
+27 MiB, the graph included, after the run returns (28.5 MiB once
+pack_complete has built the graph's incidence table).  Every run still checks
 the edge lists, builds its color index, calls the round functions and
 verifies the coloring.  The color index holds groups: an X-vertex's edge ids
 with one list, kept in that vertex's preference order as a live list of the
@@ -26,15 +27,20 @@ that an X-vertex with several groups wanting the color gets their ids merged
 best first, which only a list per edge brings about.  Both round functions
 get the pool as those proposer sequences alone, so no round builds its pool:
 the matching walks the sequences, reading the rest off the id-indexed lists,
-and the kernel check reads each sequence only up to the proposer's matched
-edge, the ids it proposed along, since the order absorbs those behind it at
-x.  Neither round function allocates anything sized by the vertex count, so
-a round costs O(proposals made), even when the graph has far more vertices
-than the pool has edges.  Each round is recorded as (color, matched ids):
-the trace rebuilds pools off the lists and the final coloring, sorts
-matchings and decodes ids to edges only when its rounds are read, and counts
-deletions only when they are read, so a caller that drops the trace pays
-for none of it.
+and the kernel check range-tests each matched id before reading its ends,
+then walks each sequence once, up to the proposer's matched edge: the ids it
+proposed along, since the order absorbs those behind it at x.  Neither round
+function allocates anything sized by the vertex count, so a round costs
+O(proposals made), even when the graph has far more vertices than the pool
+has edges.  Each round is recorded as (color, matched ids): the trace
+rebuilds pools off the lists and the final coloring, sorts matchings and
+decodes ids to edges only when its rounds are read, and counts deletions
+only when they are read, so a caller that drops the trace pays for none of
+it.  On a reused graph whose incidence table is built (pack_complete's
+K_{n,m}), the closing check screens each vertex's edges, the graph's own
+edge tuples, by their count of distinct colors, so it builds no edge per
+call; only a repeated color, or a graph with no table, sends it through the
+walk that normalizes each edge and names the conflicts.
 """
 
 from __future__ import annotations
@@ -319,8 +325,7 @@ def kernel_check(pool, prefs: PreferenceSystem, matching) -> bool:
     if type(pool) is not _CheckedPool:
         pool = _checked_pool(pool, prefs)
     m = set(matching)
-    if not all(map(range(len(prefs.edges)).__contains__, m)):
-        return False  # an id outside the edge ids lies in no pool
+    edge_ids = range(len(prefs.edges))
     x_end, y_end, base_color = prefs.oriented
     # matched_at_x[x] = the id of the one matched edge at x; matched_at_y[y]
     # = its base color, which decides absorption at y.  Both hold |m| keys,
@@ -328,6 +333,8 @@ def kernel_check(pool, prefs: PreferenceSystem, matching) -> bool:
     matched_at_x: dict[int, int] = {}
     matched_at_y: dict[int, int] = {}
     for i in m:
+        if i not in edge_ids:
+            return False  # an id outside the edge ids lies in no pool
         x, y = x_end[i], y_end[i]
         if x in matched_at_x or y in matched_at_y:
             return False  # two matched edges share a vertex
@@ -336,16 +343,13 @@ def kernel_check(pool, prefs: PreferenceSystem, matching) -> bool:
     at_y, pop = matched_at_y.get, matched_at_x.pop
     found = 0  # the matched ids met in their proposers' sequences
     for ids in pool.proposals:
-        # Popped, so a pool naming x twice cannot count x's match twice.
+        # Popped, so a pool naming x twice cannot count x's match twice.  A
+        # match missing from x's sequence goes uncounted, failing the end.
         i = pop(x_end[ids[0]], None)
-        ahead = ids
-        if i is not None:
-            try:
-                ahead = ids[: ids.index(i)]
-            except ValueError:
-                return False  # x's matched edge is not in the pool
-            found += 1
-        for j in ahead:
+        for j in ids:
+            if j == i:
+                found += 1
+                break
             c = base_color[j]
             # Base colors are positive, and no other edge at y has the color
             # c, so the default c marks a y that absorbs nothing.
@@ -450,14 +454,22 @@ def verify_edge_coloring(
     if colors.keys() != g._edge_set:
         return ["coloring does not cover the edge set exactly"]
     problems = []
-    for v in g.vertices():
-        seen: dict[int, Edge] = {}
-        for w in g.neighbors(v):
-            e = (v, w) if v < w else (w, v)
-            c = colors[e]
-            if c in seen:
-                problems.append(f"edges {seen[c]} and {e} share color {c} at vertex {v}")
-            seen[c] = e
+    # A reused graph, such as pack_complete's cached K_{n,m}, has its
+    # incidence table built, so each vertex with edges is screened by its
+    # count of distinct colors, building no edge.  A one-shot graph is not
+    # made to build one.  The walk that names the conflicts runs only where
+    # there is no table or the screen finds a repeated color.
+    incident = g.__dict__.get("_incident")
+    get = colors.__getitem__
+    if incident is None or any(len(set(map(get, es))) < len(es) for es in incident.values()):
+        for v in g.vertices():
+            seen: dict[int, Edge] = {}
+            for w in g.neighbors(v):
+                e = (v, w) if v < w else (w, v)
+                c = colors[e]
+                if c in seen:
+                    problems.append(f"edges {seen[c]} and {e} share color {c} at vertex {v}")
+                seen[c] = e
     if edge_lists is not None:
         for e, c in colors.items():
             if c not in edge_lists[e]:

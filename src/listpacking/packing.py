@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import chain, repeat
 
 from .coloring import (
     ListAssignment,
@@ -65,10 +66,15 @@ def pack_complete(req: PackRequest) -> Packing:
             f"packing size m={m} below n={n}: the construction needs m >= n"
         )
     knm, bip = _complete_bipartite(n, m)
-    edge_lists = {e: lists[e[0]] for e in knm.edges}  # edge x_i y_j takes L(v_i)
-    ec = list_edge_color(knm, bip, edge_lists)
+    # Each vertex's edges in sorted-neighbour order, cached on knm: x_i's run
+    # to y_1..y_m and y_j's to x_1..x_n.  Edge x_i y_j takes L(v_i).
+    incident = knm._incident
+    edge_lists = dict(
+        chain.from_iterable(zip(incident[i], repeat(lists[i])) for i in g.vertices())
+    )
+    get = list_edge_color(knm, bip, edge_lists).colors.__getitem__
     packing = Packing(
-        tuple({i: ec.colors[(i, n + j)] for i in g.vertices()} for j in range(1, m + 1))
+        tuple(dict(zip(g.vertices(), map(get, incident[n + j]))) for j in range(1, m + 1))
     )
     report = is_proper_packing(g, lists, packing)
     if not report.ok:

@@ -244,6 +244,29 @@ def reference_kernel_check(pool, prefs: PreferenceSystem, matching) -> bool:
     return True
 
 
+def reference_verify_edge_coloring(
+    g: Graph, colors: dict[Edge, int], edge_lists: dict[Edge, frozenset[int]] | None = None
+) -> list[str]:
+    """`galvin.verify_edge_coloring` in its earlier shape, kept as its oracle:
+    every vertex walks its neighbours and names each edge it normalizes."""
+    if colors.keys() != g._edge_set:
+        return ["coloring does not cover the edge set exactly"]
+    problems = []
+    for v in g.vertices():
+        seen: dict[int, Edge] = {}
+        for w in g.neighbors(v):
+            e = (v, w) if v < w else (w, v)
+            c = colors[e]
+            if c in seen:
+                problems.append(f"edges {seen[c]} and {e} share color {c} at vertex {v}")
+            seen[c] = e
+    if edge_lists is not None:
+        for e, c in colors.items():
+            if c not in edge_lists[e]:
+                problems.append(f"edge {e} colored {c} outside its list")
+    return problems
+
+
 def reference_order(prefs: PreferenceSystem) -> dict[int, tuple[tuple[int, int, int], ...]]:
     """`PreferenceSystem.order` as it was built before it was derived from
     `order_ids`: x -> x's edges as (base color, y, edge id), sorted highest

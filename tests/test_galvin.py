@@ -30,6 +30,7 @@ from .helpers import (
     reference_kernel_check,
     reference_order,
     reference_stable_matching,
+    reference_verify_edge_coloring,
 )
 
 
@@ -355,6 +356,24 @@ def test_list_edge_color_rejects_short_lists():
         list_edge_color(g, bip, lists)
 
 
+def test_a_short_list_is_named_as_the_first_in_edge_list_order():
+    # Of several short lists, the first in the order of the edge lists is
+    # named, whatever the shortest is.
+    g, bip = complete_bipartite(3, 3)
+    lists = {e: frozenset({1, 2, 3}) for e in reversed(g.edges)}
+    lists[(1, 4)] = frozenset({7})
+    lists[(2, 6)] = frozenset({1, 2})
+    lists[(3, 5)] = frozenset()
+    with pytest.raises(ValueError) as info:
+        list_edge_color(g, bip, lists)
+    assert str(info.value) == "list at edge (3, 5) has 0 colors, need at least 3"
+    del lists[(3, 5)]
+    lists[(3, 5)] = frozenset({1, 2, 3})  # moved behind the other short lists
+    with pytest.raises(ValueError) as info:
+        list_edge_color(g, bip, lists)
+    assert str(info.value) == "list at edge (2, 6) has 2 colors, need at least 3"
+
+
 def _exhaustive_list_edge_colorable(g, lists) -> bool:
     edges = list(g.edges)
 
@@ -504,14 +523,21 @@ def test_engine_range_checks_each_round_pool_itself():
 
 
 def test_kernel_check_rejects_out_of_range_matching_ids():
-    # Not in the pool, so not a kernel, whatever the id.
+    # Not in the pool, so not a kernel, whatever the id, on a public pool and
+    # on the engine's own form.  A negative id would read from the end of the
+    # id tables, and a float or a string would fail as a list index: each is
+    # refused before any read.
+    from listpacking.galvin import _checked_pool
+
     g, bip = complete_bipartite(2, 2)
     prefs = _prefs(g, bip)
     pool = _ids(prefs, g.edges)
     matched = stable_matching(pool, prefs)
-    assert kernel_check(pool, prefs, matched)
-    for bad in (-1, len(prefs.edges)):
-        assert not kernel_check(pool, prefs, matched | {bad})
+    for given in (pool, _checked_pool(pool, prefs)):
+        assert kernel_check(given, prefs, matched)
+        for bad in (-1, len(prefs.edges), 1.5, "0"):
+            assert not kernel_check(given, prefs, {bad})
+            assert not kernel_check(given, prefs, matched | {bad})
 
 
 def test_kernel_check_accepts_absorption_at_one_end_only():
@@ -1119,3 +1145,72 @@ def test_an_improper_base_coloring_fails_before_any_round(monkeypatch):
     finally:
         galvin._preferences.cache_clear()
     assert calls == []
+
+
+def test_verify_edge_coloring_matches_the_reference_on_faulty_colorings():
+    # Seeded colorings, proper or not, of bipartite and other graphs with
+    # isolated vertices and of the empty graph, each with one injected fault:
+    # two equal colors at a vertex, a color outside its list, a missing edge
+    # or an extra key.  Same problems, in the same order, lists or not, on a
+    # graph without its incidence table (the check builds none) and with it.
+    rng = random.Random(3030)
+    seen = Counter()
+    for _ in range(600):
+        n = rng.randint(0, 9)
+        pairs = list(combinations(range(1, n + 1), 2))
+        g = Graph.from_edges(n, rng.sample(pairs, rng.randint(0, len(pairs))))
+        try:
+            colors = dict(edge_color_bipartite(g, bipartition(g)).colors)
+            seen["bipartite"] += 1
+        except ValueError:
+            colors = {e: rng.randint(1, 4) for e in g.edges}
+            seen["not bipartite"] += 1
+        seen["isolated"] += any(g.degree(v) == 0 for v in g.vertices())
+        seen["empty"] += n == 0
+        lists = {e: frozenset(rng.sample(range(1, 7), 3)) | {c} for e, c in colors.items()}
+        fault = rng.choice(("repeat", "off list", "missing", "extra"))
+        at = [v for v in g.vertices() if g.degree(v) > 1]
+        if fault == "repeat" and at:
+            v = rng.choice(at)
+            e, f = rng.sample([(min(v, w), max(v, w)) for w in g.neighbors(v)], 2)
+            colors[f] = colors[e]
+            lists[f] |= {colors[e]}
+        elif fault == "off list" and colors:
+            e = rng.choice(g.edges)
+            lists[e] -= {colors[e]}
+        elif fault == "missing" and colors:
+            del colors[rng.choice(g.edges)]
+        elif fault == "extra":
+            colors[(n + 1, n + 2)] = 1
+        else:
+            fault = "none"
+        seen[fault] += 1
+        expected = [reference_verify_edge_coloring(g, colors, given) for given in (None, lists)]
+        assert [verify_edge_coloring(g, colors, given) for given in (None, lists)] == expected
+        assert "_incident" not in vars(g)
+        g._incident
+        assert [verify_edge_coloring(g, colors, given) for given in (None, lists)] == expected
+        seen["named"] += bool(expected[1])
+    assert min(seen.values()) > 10, seen
+
+
+def test_only_pack_complete_builds_the_incidence_table(monkeypatch):
+    # The table lasts as long as its graph, so a one-shot list edge coloring
+    # does not build one.  pack_complete builds it on its cached K_{n,m},
+    # whose closing check then screens off the table and walks no neighbours.
+    from listpacking import packing
+
+    g, bip = complete_bipartite(3, 4)
+    list_edge_color(g, bip, {e: frozenset({1, 2, 3, 4}) for e in g.edges})
+    assert "_incident" not in vars(g)
+    req = PackRequest(3, ListAssignment({v: frozenset({1, 2, 3, v + 3}) for v in range(1, 4)}), 4)
+    pack_complete(req)
+    knm, _ = packing._complete_bipartite(3, 4)
+    assert "_incident" in vars(knm)
+    walked = []
+    neighbors = Graph.neighbors
+    monkeypatch.setattr(Graph, "neighbors", lambda h, v: walked.append(h) or neighbors(h, v))
+    pack_complete(req)
+    assert not any(h is knm for h in walked)
+    list_edge_color(g, bip, {e: frozenset({1, 2, 3, 4}) for e in g.edges})
+    assert any(h is g for h in walked)
