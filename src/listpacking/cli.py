@@ -129,7 +129,7 @@ def cmd_edge_color(args) -> int:
     # bad one is refused before any per-vertex work.  A good one still pays
     # for every vertex the header declares: on an edgeless graph the lists
     # file is `{}`, yet bipartition and the coloring check walk all n
-    # vertices (ROADMAP item 6).
+    # vertices (ROADMAP item 8).
     edge_lists = parse_edge_lists(_read(args.edge_lists), g)
     bip = bipartition(g)
     ec = list_edge_color(g, bip, edge_lists)

@@ -17,14 +17,13 @@ Y-vertex, base color) in id-indexed lists, and each X-vertex's edge ids are
 sorted into its preference order, which is checked there to be a strict
 order of that vertex's edge ids.  These depend on nothing else, so the last
 pair's tables are kept for the next run: for K_{300,300} they hold about
-27 MiB, the graph included, after the run returns (28.5 MiB once
-pack_complete has built the graph's incidence table).  Every run still checks
-the edge lists, builds its color index, calls the round functions and
-verifies the coloring.  The color index holds groups: an X-vertex's edge ids
-with one list, kept in that vertex's preference order as a live list of the
-uncolored ones.  A round's proposers are its color's live groups, except
-that an X-vertex with several groups wanting the color gets their ids merged
-best first, which only a list per edge brings about.  Both round functions
+27 MiB, the graph included, after the run returns.  Every run still checks
+the edge lists, builds its color index and calls the round functions.  The
+color index holds groups: an X-vertex's edge ids with one list, kept in that
+vertex's preference order as a live list of the uncolored ones.  A round's
+proposers are its color's live groups, except that an X-vertex with several
+groups wanting the color gets their ids merged best first, which only a list
+per edge brings about.  Both round functions
 get the pool as those proposer sequences alone, so no round builds its pool:
 the matching walks the sequences, reading the rest off the id-indexed lists,
 and the kernel check range-tests each matched id before reading its ends,
@@ -36,11 +35,10 @@ has edges.  Each round is recorded as (color, matched ids): the trace
 rebuilds pools off the lists and the final coloring, sorts matchings and
 decodes ids to edges only when its rounds are read, and counts deletions
 only when they are read, so a caller that drops the trace pays for none of
-it.  On a reused graph whose incidence table is built (pack_complete's
-K_{n,m}), the closing check screens each vertex's edges, the graph's own
-edge tuples, by their count of distinct colors, so it builds no edge per
-call; only a repeated color, or a graph with no table, sends it through the
-walk that normalizes each edge and names the conflicts.
+it.  Each coloring a public entry point hands out is checked once, by a
+checker that shares nothing with the rounds: `list_edge_color` runs
+`verify_edge_coloring` on it, and pack_complete, which runs the engine
+itself, checks the packing it reads off the coloring instead.
 """
 
 from __future__ import annotations
@@ -111,15 +109,6 @@ class PreferenceSystem:
                 raise RuntimeError(f"internal error: X-vertex {x}'s base colors are not distinct")
             order_ids[x] = tuple(ids)
         return order_ids
-
-    @cached_property
-    def order(self) -> dict[int, tuple[tuple[int, int, int], ...]]:
-        """x -> x's edges as (base color, y, edge id), best first: order_ids
-        spelled out, built on first read.  The engine never reads it."""
-        _, y_end, colors = self.oriented
-        return {
-            x: tuple([(colors[i], y_end[i], i) for i in ids]) for x, ids in self.order_ids.items()
-        }
 
 
 @dataclass(frozen=True, slots=True)
@@ -261,7 +250,10 @@ class _CheckedPool:
 def _pool_ids(pool, prefs: PreferenceSystem) -> frozenset[int]:
     """The pool's ids as a set, range-checked."""
     ids = frozenset(pool)
-    if not all(map(range(len(prefs.edges)).__contains__, ids)):
+    edge_ids = range(len(prefs.edges))
+    # The type first: a range tests anything but an int against each of its
+    # members, and lets 1.0 in, which then fails as a list index.
+    if not all(type(i) is int and i in edge_ids for i in ids):
         raise ValueError(f"pool holds an edge id outside 0..{len(prefs.edges) - 1}")
     return ids
 
@@ -333,8 +325,8 @@ def kernel_check(pool, prefs: PreferenceSystem, matching) -> bool:
     matched_at_x: dict[int, int] = {}
     matched_at_y: dict[int, int] = {}
     for i in m:
-        if i not in edge_ids:
-            return False  # an id outside the edge ids lies in no pool
+        if type(i) is not int or i not in edge_ids:
+            return False  # lies in no pool; the type first, as in _pool_ids
         x, y = x_end[i], y_end[i]
         if x in matched_at_x or y in matched_at_y:
             return False  # two matched edges share a vertex
@@ -368,7 +360,11 @@ def _preferences(g: Graph, bip: Bipartition) -> PreferenceSystem:
 
 
 def list_edge_color(g: Graph, bip: Bipartition, edge_lists: EdgeListAssignment) -> EdgeColoring:
+    """`list_edge_color_trace`'s coloring, checked by `verify_edge_coloring`:
+    the one check of a coloring that this function hands out."""
     coloring, _ = list_edge_color_trace(g, bip, edge_lists)
+    if problems := verify_edge_coloring(g, coloring.colors, edge_lists):
+        raise RuntimeError("internal error: " + "; ".join(problems))
     return coloring
 
 
@@ -381,7 +377,13 @@ def list_edge_color_trace(
 
     Each round picks the globally smallest color alpha still wanted, commits
     a stable matching of the alpha-wanting edges, re-checked by kernel_check,
-    and deletes alpha from the unmatched ones."""
+    and deletes alpha from the unmatched ones.
+
+    The engine checks each X-vertex's order once per graph, each round's
+    matching with kernel_check, and that no list ran dry.  It leaves the
+    finished coloring to its callers: `list_edge_color` verifies it with
+    `verify_edge_coloring`, and pack_complete checks the packing it reads
+    off it with `is_proper_packing`."""
     prefs = _preferences(g, bip)  # checks bip before any list is read
     if edge_lists.keys() != g._edge_set:
         raise ValueError("edge list domain does not match the edge set")
@@ -440,10 +442,8 @@ def list_edge_color_trace(
     if None in color:
         e = edges[color.index(None)]
         raise RuntimeError(f"internal error: list at {e} ran dry: {len(edge_lists[e])} colors")
-    result = dict(zip(edges, color))
-    if problems := verify_edge_coloring(g, result, edge_lists):
-        raise RuntimeError("internal error: " + "; ".join(problems))
-    return EdgeColoring(result, max(color, default=0)), GalvinTrace(records, edges, lists, color)
+    coloring = EdgeColoring(dict(zip(edges, color)), max(color, default=0))
+    return coloring, GalvinTrace(records, edges, lists, color)
 
 
 def verify_edge_coloring(
@@ -454,22 +454,14 @@ def verify_edge_coloring(
     if colors.keys() != g._edge_set:
         return ["coloring does not cover the edge set exactly"]
     problems = []
-    # A reused graph, such as pack_complete's cached K_{n,m}, has its
-    # incidence table built, so each vertex with edges is screened by its
-    # count of distinct colors, building no edge.  A one-shot graph is not
-    # made to build one.  The walk that names the conflicts runs only where
-    # there is no table or the screen finds a repeated color.
-    incident = g.__dict__.get("_incident")
-    get = colors.__getitem__
-    if incident is None or any(len(set(map(get, es))) < len(es) for es in incident.values()):
-        for v in g.vertices():
-            seen: dict[int, Edge] = {}
-            for w in g.neighbors(v):
-                e = (v, w) if v < w else (w, v)
-                c = colors[e]
-                if c in seen:
-                    problems.append(f"edges {seen[c]} and {e} share color {c} at vertex {v}")
-                seen[c] = e
+    for v in g.vertices():
+        seen: dict[int, Edge] = {}
+        for w in g.neighbors(v):
+            e = (v, w) if v < w else (w, v)
+            c = colors[e]
+            if c in seen:
+                problems.append(f"edges {seen[c]} and {e} share color {c} at vertex {v}")
+            seen[c] = e
     if edge_lists is not None:
         for e, c in colors.items():
             if c not in edge_lists[e]:

@@ -77,23 +77,6 @@ class Graph:
     def _edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
 
-    @cached_property
-    def _incident(self) -> dict[int, tuple[Edge, ...]]:
-        """v -> v's edges in sorted-neighbour order, the very tuples of
-        `edges`, for each vertex with an edge, in vertex order.  Sorted edge
-        order meets v's lower neighbours' edges, in order, before its own.
-
-        It is held for the graph's life, so only a caller that reuses the
-        graph builds it (pack_complete, on its cached K_{n,m}); the coloring
-        check reads it only where it is already built."""
-        incident: dict[int, list[Edge]] = {}
-        for e in self.edges:
-            u, v = e
-            incident.setdefault(u, []).append(e)
-            incident.setdefault(v, []).append(e)
-        # Each list is dropped as its tuple is made.
-        return {v: tuple(incident.pop(v)) for v in sorted(incident)}
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         if not 0 < v <= self.n:
             raise ValueError(f"vertex {v} out of range 1..{self.n}")

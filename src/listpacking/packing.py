@@ -6,8 +6,12 @@ engine, edge x_i y_j taking the list of v_i -- its max degree is exactly m,
 so lists of size m suffice -- and read row j off the edges at y_j.  The
 proof's identity, not a runtime step, says why: K_n box K_m is the line
 graph of K_{n,m}, so that edge coloring is a proper coloring of the lifted
-product, sliced into m pairwise-disjoint colorings.  `solve_packing_via_lift`
-runs that reduction on any graph, with an exhaustive coloring search.
+product, sliced into m pairwise-disjoint colorings.  By the same identity
+the packing is checked once, by `is_proper_packing`, and the edge coloring
+is not checked apart: row j is proper exactly when the edges at y_j have
+distinct colors, column i is disjoint exactly when those at x_i do, and
+list membership is one fact on both sides.  `solve_packing_via_lift` runs
+that reduction on any graph, with an exhaustive coloring search.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .coloring import (
     is_proper_packing,
     lift_lists,
 )
-from .galvin import list_edge_color
+from . import galvin
 from .graphs import Graph, complete_bipartite, complete_graph
 from .search import FOUND, SearchBudget, SearchResult, _verified, solve_list_coloring
 
@@ -50,8 +54,9 @@ def pack_complete(req: PackRequest) -> Packing:
     """Build a verified proper packing of size m for an m-assignment of K_n.
 
     Raises UnsupportedRegimeError when m < n and ValueError when the lists
-    are not uniformly of size m.  The verifier runs before returning; a
-    failure there would be an internal error, never a return value.
+    are not uniformly of size m.  `is_proper_packing`, the one check of the
+    result, runs before returning; a failure there would be an internal
+    error, never a return value.
     """
     n, m, lists = req.n, req.m, req.lists
     if n < 1:
@@ -66,16 +71,16 @@ def pack_complete(req: PackRequest) -> Packing:
             f"packing size m={m} below n={n}: the construction needs m >= n"
         )
     knm, bip = _complete_bipartite(n, m)
-    # Each vertex's edges in sorted-neighbour order, cached on knm: x_i's run
-    # to y_1..y_m and y_j's to x_1..x_n.  Edge x_i y_j takes L(v_i).
-    incident = knm._incident
+    # Edge x_i y_j is knm.edges[(i - 1) * m + (j - 1)], in sorted edge order,
+    # and takes L(v_i).
     edge_lists = dict(
-        chain.from_iterable(zip(incident[i], repeat(lists[i])) for i in g.vertices())
+        zip(knm.edges, chain.from_iterable(repeat(lists[i], m) for i in g.vertices()))
     )
-    get = list_edge_color(knm, bip, edge_lists).colors.__getitem__
-    packing = Packing(
-        tuple(dict(zip(g.vertices(), map(get, incident[n + j]))) for j in range(1, m + 1))
-    )
+    # Looked up on the module at call time: bench/tracing.py wraps that
+    # attribute, and a name imported here would hide every round from it.
+    _, trace = galvin.list_edge_color_trace(knm, bip, edge_lists)
+    # trace.colors is indexed by edge id: ids j, j + m, ... are the edges at y_{j+1}.
+    packing = Packing(tuple(dict(zip(g.vertices(), trace.colors[j::m])) for j in range(m)))
     report = is_proper_packing(g, lists, packing)
     if not report.ok:
         raise RuntimeError(f"internal error: packing failed verification: {report.violations}")

@@ -197,7 +197,7 @@ def reference_stable_matching(pool, prefs: PreferenceSystem) -> set[int]:
     members = _pool_ids(pool, prefs)
     if not members:
         raise ValueError("stable matching of an empty edge pool is undefined")
-    x_end, order = prefs.oriented[0], prefs.order
+    x_end, order = prefs.oriented[0], reference_order(prefs)
     proposals = {
         x: (t for t in order[x] if t[2] in members)
         for x in sorted({x_end[i] for i in members})
@@ -268,9 +268,9 @@ def reference_verify_edge_coloring(
 
 
 def reference_order(prefs: PreferenceSystem) -> dict[int, tuple[tuple[int, int, int], ...]]:
-    """`PreferenceSystem.order` as it was built before it was derived from
-    `order_ids`: x -> x's edges as (base color, y, edge id), sorted highest
-    first, X-vertices in the order of their first edge id."""
+    """The spelled-out preference table, the oracle of `order_ids`: x -> x's
+    edges as (base color, y, edge id), sorted highest first, X-vertices in
+    the order of their first edge id."""
     order: dict[int, list[tuple[int, int, int]]] = {}
     for i, (x, y, c) in enumerate(zip(*prefs.oriented)):
         order.setdefault(x, []).append((c, y, i))

@@ -229,7 +229,7 @@ def test_swapped_sides_get_their_own_preference_tables():
     prefs, swapped_prefs = galvin._preferences(g, bip), galvin._preferences(g, swapped)
     assert prefs is not swapped_prefs
     assert swapped_prefs.oriented[0] == prefs.oriented[1]  # X-ends are the other side
-    assert swapped_prefs.order != prefs.order
+    assert swapped_prefs.order_ids != prefs.order_ids
     galvin._preferences.cache_clear()
     assert _trace_key(list_edge_color_trace(g, swapped, lists)) == _trace_key(warm)
 
@@ -478,15 +478,17 @@ def test_kernel_check_counts_each_matched_id_in_the_pool_once():
 
 
 def test_round_functions_reject_out_of_range_pool_ids():
-    # A negative id would silently index from the end of the id tables.
+    # A negative id would silently index from the end of the id tables, and
+    # 1.0 would fail as a list index.  1.0 equals the pool's id 1, so it
+    # takes that id's place.
     g, bip = complete_bipartite(2, 2)
     prefs = _prefs(g, bip)
     pool = _ids(prefs, g.edges)
-    for bad in (-1, len(prefs.edges)):
+    for bad in (-1, len(prefs.edges), 1.0):
         with pytest.raises(ValueError, match="outside"):
-            stable_matching(pool | {bad}, prefs)
+            stable_matching((pool - {bad}) | {bad}, prefs)
         with pytest.raises(ValueError, match="outside"):
-            kernel_check(pool | {bad}, prefs, stable_matching(pool, prefs))
+            kernel_check((pool - {bad}) | {bad}, prefs, stable_matching(pool, prefs))
 
 
 def test_round_functions_check_a_tuple_pool_and_a_frozenset_pool():
@@ -526,18 +528,44 @@ def test_kernel_check_rejects_out_of_range_matching_ids():
     # Not in the pool, so not a kernel, whatever the id, on a public pool and
     # on the engine's own form.  A negative id would read from the end of the
     # id tables, and a float or a string would fail as a list index: each is
-    # refused before any read.
+    # refused before any read.  1.0 equals the matched id 1, so it takes
+    # that id's place.
     from listpacking.galvin import _checked_pool
 
     g, bip = complete_bipartite(2, 2)
     prefs = _prefs(g, bip)
     pool = _ids(prefs, g.edges)
     matched = stable_matching(pool, prefs)
+    assert 1 in matched
     for given in (pool, _checked_pool(pool, prefs)):
         assert kernel_check(given, prefs, matched)
-        for bad in (-1, len(prefs.edges), 1.5, "0"):
+        for bad in (-1, len(prefs.edges), 1.5, "0", 1.0):
             assert not kernel_check(given, prefs, {bad})
-            assert not kernel_check(given, prefs, matched | {bad})
+            assert not kernel_check(given, prefs, (matched - {bad}) | {bad})
+
+
+def test_a_non_int_id_is_refused_without_a_comparison():
+    # A range tests anything but an int by comparing it with each member,
+    # so the round functions test an id's type first: the id below counts
+    # the comparisons made with it.
+    class Counted:
+        eqs = 0
+        __hash__ = object.__hash__
+
+        def __eq__(self, other):
+            Counted.eqs += 1
+            return False
+
+    odd = Counted()
+    g, bip = complete_bipartite(2, 2)
+    prefs = _prefs(g, bip)
+    pool = _ids(prefs, g.edges)
+    assert not kernel_check(pool, prefs, {odd})
+    with pytest.raises(ValueError, match="outside"):
+        stable_matching(pool | {odd}, prefs)
+    with pytest.raises(ValueError, match="outside"):
+        kernel_check(pool | {odd}, prefs, {0})
+    assert Counted.eqs == 0
 
 
 def test_kernel_check_accepts_absorption_at_one_end_only():
@@ -842,9 +870,9 @@ def test_round_functions_allocate_nothing_sized_by_the_vertex_count():
     assert peak < 16_384, peak
 
 
-def test_order_keeps_its_earlier_value():
-    # order is now spelled out from order_ids on first read; it equals the
-    # earlier directly sorted table (tests/helpers.py), keys in the same
+def test_order_ids_follow_the_reference_order():
+    # order_ids equals the spelled-out, directly sorted table
+    # (tests/helpers.py) without its colors and Y-ends, keys in the same
     # order, on K_{3,3}, on its swapped sides and on a graph whose base
     # coloring flips an alternating path.
     g, bip = complete_bipartite(3, 3)
@@ -854,34 +882,8 @@ def test_order_keeps_its_earlier_value():
     for g, bip in ((g, bip), (g, Bipartition(bip.Y, bip.X)), (flip, bipartition(flip))):
         prefs = _prefs(g, bip)
         expected = reference_order(prefs)
-        assert list(prefs.order.items()) == list(expected.items())
+        assert list(prefs.order_ids) == list(expected)
         assert prefs.order_ids == {x: tuple(i for *_, i in ts) for x, ts in expected.items()}
-
-
-def test_the_engine_never_reads_the_spelled_out_order(monkeypatch):
-    # The matching reads order_ids alone, so order stays unbuilt in the
-    # per-graph cache; counted by a property standing in for it.
-    from listpacking import galvin
-
-    reads = []
-    spelled_out = galvin.PreferenceSystem.order.func
-
-    def counting(prefs):
-        reads.append(prefs)
-        return spelled_out(prefs)
-
-    monkeypatch.setattr(galvin.PreferenceSystem, "order", property(counting))
-    galvin._preferences.cache_clear()
-    n = 48
-    g, bip = complete_bipartite(n, n)
-    rng = random.Random(48)
-    lists = {e: frozenset(rng.sample(range(1, n + 3), n)) for e in g.edges}
-    list_edge_color(g, bip, lists)
-    for request in _k48_requests():
-        pack_complete(request)
-    assert reads == []
-    prefs = galvin._preferences(g, bip)
-    assert prefs.order == reference_order(prefs) and reads == [prefs]
 
 
 def test_stable_matching_matches_the_queue_reference_where_x_vertices_merge_groups(monkeypatch):
@@ -1151,8 +1153,7 @@ def test_verify_edge_coloring_matches_the_reference_on_faulty_colorings():
     # Seeded colorings, proper or not, of bipartite and other graphs with
     # isolated vertices and of the empty graph, each with one injected fault:
     # two equal colors at a vertex, a color outside its list, a missing edge
-    # or an extra key.  Same problems, in the same order, lists or not, on a
-    # graph without its incidence table (the check builds none) and with it.
+    # or an extra key.  Same problems, in the same order, lists or not.
     rng = random.Random(3030)
     seen = Counter()
     for _ in range(600):
@@ -1187,30 +1188,29 @@ def test_verify_edge_coloring_matches_the_reference_on_faulty_colorings():
         seen[fault] += 1
         expected = [reference_verify_edge_coloring(g, colors, given) for given in (None, lists)]
         assert [verify_edge_coloring(g, colors, given) for given in (None, lists)] == expected
-        assert "_incident" not in vars(g)
-        g._incident
-        assert [verify_edge_coloring(g, colors, given) for given in (None, lists)] == expected
         seen["named"] += bool(expected[1])
     assert min(seen.values()) > 10, seen
 
 
-def test_only_pack_complete_builds_the_incidence_table(monkeypatch):
-    # The table lasts as long as its graph, so a one-shot list edge coloring
-    # does not build one.  pack_complete builds it on its cached K_{n,m},
-    # whose closing check then screens off the table and walks no neighbours.
-    from listpacking import packing
+def test_each_handed_out_result_is_checked_once(monkeypatch):
+    # pack_complete checks its packing, which under K_n box K_m = L(K_{n,m})
+    # checks the edge coloring too; list_edge_color checks its coloring.
+    from listpacking import galvin, packing
 
+    calls = Counter()
+    for module, name in ((galvin, "verify_edge_coloring"), (packing, "is_proper_packing")):
+        original = getattr(module, name)
+
+        def counting(*args, original=original, name=name):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    for request in _k48_requests():
+        calls.clear()
+        pack_complete(request)
+        assert calls == {"is_proper_packing": 1}
     g, bip = complete_bipartite(3, 4)
+    calls.clear()
     list_edge_color(g, bip, {e: frozenset({1, 2, 3, 4}) for e in g.edges})
-    assert "_incident" not in vars(g)
-    req = PackRequest(3, ListAssignment({v: frozenset({1, 2, 3, v + 3}) for v in range(1, 4)}), 4)
-    pack_complete(req)
-    knm, _ = packing._complete_bipartite(3, 4)
-    assert "_incident" in vars(knm)
-    walked = []
-    neighbors = Graph.neighbors
-    monkeypatch.setattr(Graph, "neighbors", lambda h, v: walked.append(h) or neighbors(h, v))
-    pack_complete(req)
-    assert not any(h is knm for h in walked)
-    list_edge_color(g, bip, {e: frozenset({1, 2, 3, 4}) for e in g.edges})
-    assert any(h is g for h in walked)
+    assert calls == {"verify_edge_coloring": 1}

@@ -16,7 +16,6 @@ from listpacking import (
     product_coords,
     product_id,
 )
-from listpacking.graphs import edge
 from .helpers import cycle_graph, path_graph
 
 
@@ -211,20 +210,3 @@ def test_neighbors_and_degree_reject_vertices_outside_the_graph():
             g.degree(v)
     with pytest.raises(ValueError, match="vertex 1 out of range 1..0"):
         Graph.from_edges(0, []).neighbors(1)
-
-
-def test_incident_table_lists_each_vertex_edges_in_neighbour_order():
-    # The very edge tuples of g.edges, for the vertices with edges only, in
-    # vertex order: checkers read it to build no edge per call.
-    rng = random.Random(30)
-    for _ in range(200):
-        n = rng.randint(0, 12)
-        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
-        g = Graph.from_edges(n, rng.sample(pairs, rng.randint(0, len(pairs))))
-        expected = {
-            v: tuple(edge(v, w) for w in g.neighbors(v)) for v in g.vertices() if g.neighbors(v)
-        }
-        assert list(g._incident.items()) == list(expected.items())
-        own = {id(e) for e in g.edges}
-        assert all(id(e) in own for es in g._incident.values() for e in es)
-    assert Graph.from_edges(10**6, [])._incident == {}

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -24,7 +25,9 @@ from listpacking import (
     solve_packing,
     solve_packing_via_lift,
 )
-from listpacking.galvin import list_edge_color
+from listpacking import galvin
+from listpacking.coloring import NOT_DISJOINT, NOT_IN_LIST, NOT_PROPER
+from listpacking.galvin import EdgeColoring, list_edge_color
 from .helpers import konig_pack, path_graph
 
 
@@ -114,6 +117,57 @@ def test_pullback_is_bit_exact():
     for i in range(1, n + 1):
         for j in range(1, m + 1):
             assert packing.rows[j - 1][i] == ec.colors[(i, n + j)]
+
+
+# One fault per kind, injected into the engine's coloring of K_{4,4} with
+# every list {2, 4, 6, 8}, where edge x_i y_j has id 4(i - 1) + (j - 1): the
+# ids whose colors are swapped, or None for id 0 taking 99, and the problem
+# that the coloring check names.  The coloring is a Latin square, so a swap
+# of two colors at one side's vertex repeats them at the other side's two.
+INJECTED_FAULTS = {
+    NOT_PROPER: ((0, 1), "at vertex 5"),  # at x_1: y_1 and y_2 repeat
+    NOT_DISJOINT: ((0, 4), "at vertex 1"),  # at y_1: x_1 and x_2 repeat
+    NOT_IN_LIST: (None, "edge (1, 5) colored 99 outside its list"),
+}
+
+
+def _inject_fault(monkeypatch, kind):
+    engine = galvin.list_edge_color_trace
+    swap = INJECTED_FAULTS[kind][0]
+
+    def faulty(g, bip, edge_lists):
+        coloring, trace = engine(g, bip, edge_lists)
+        colors = list(trace.colors)
+        if swap is None:
+            colors[0] = 99
+        else:
+            a, b = swap
+            colors[a], colors[b] = colors[b], colors[a]
+        faulty_coloring = EdgeColoring(dict(zip(trace.edges, colors)), coloring.palette_size)
+        return faulty_coloring, replace(trace, colors=colors)
+
+    monkeypatch.setattr(galvin, "list_edge_color_trace", faulty)
+
+
+@pytest.mark.parametrize("kind", list(INJECTED_FAULTS))
+def test_pack_complete_names_an_injected_fault(monkeypatch, kind):
+    # The packing check is pack_complete's only check of the engine's coloring.
+    ell = ListAssignment({v: frozenset({2, 4, 6, 8}) for v in range(1, 5)})
+    _inject_fault(monkeypatch, kind)
+    with pytest.raises(RuntimeError, match="internal error: packing failed verification") as info:
+        pack_complete(PackRequest(4, ell, 4))
+    named = [k for k in INJECTED_FAULTS if repr(k) in str(info.value)]
+    assert named == [kind], str(info.value)
+
+
+@pytest.mark.parametrize("kind", list(INJECTED_FAULTS))
+def test_list_edge_color_names_an_injected_fault(monkeypatch, kind):
+    # The engine hands its coloring out unchecked; list_edge_color checks it.
+    knm, bip = complete_bipartite(4, 4)
+    _inject_fault(monkeypatch, kind)
+    with pytest.raises(RuntimeError, match="internal error: ") as info:
+        list_edge_color(knm, bip, {e: frozenset({2, 4, 6, 8}) for e in knm.edges})
+    assert INJECTED_FAULTS[kind][1] in str(info.value), str(info.value)
 
 
 def test_pack_monotone_regime_with_truncated_lists():
