@@ -19,10 +19,8 @@ from .galvin import (
     EdgeColoring,
     PreferenceSystem,
     edge_color_bipartite,
-    kernel_check,
     list_edge_color,
     list_edge_color_trace,
-    stable_matching,
     verify_edge_coloring,
 )
 from .graphs import (

@@ -14,29 +14,31 @@ lists of size at least the maximum degree never run dry.
 Cost: once per graph and bipartition, the base coloring is built, each edge
 gets an id (its place in sorted edge order), is oriented into (X-vertex,
 Y-vertex, base color) in id-indexed lists, and each X-vertex's edge ids are
-sorted into its preference order, which is checked there to be a strict
-order of that vertex's edge ids.  These depend on nothing else, so the last
-pair's tables are kept for the next run: for K_{300,300} they hold about
-27 MiB, the graph included, after the run returns.  Every run still checks
-the edge lists, builds its color index and calls the round functions.  The
-color index holds groups: an X-vertex's edge ids with one list, kept in that
-vertex's preference order as a live list of the uncolored ones.  A round's
-proposers are its color's live groups, except that an X-vertex with several
-groups wanting the color gets their ids merged best first, which only a list
-per edge brings about.  Both round functions
-get the pool as those proposer sequences alone, so no round builds its pool:
-the matching walks the sequences, reading the rest off the id-indexed lists,
-and the kernel check range-tests each matched id before reading its ends,
-then walks each sequence once, up to the proposer's matched edge: the ids it
-proposed along, since the order absorbs those behind it at x.  Neither round
-function allocates anything sized by the vertex count, so a round costs
-O(proposals made), even when the graph has far more vertices than the pool
-has edges.  Each round is recorded as (color, matched ids): the trace
-rebuilds pools off the lists and the final coloring, sorts matchings and
-decodes ids to edges only when its rounds are read, and counts deletions
-only when they are read, so a caller that drops the trace pays for none of
-it.  Each coloring a public entry point hands out is checked once, by a
-checker that shares nothing with the rounds: `list_edge_color` runs
+sorted into its preference order, whose base colors are checked there to
+fall strictly.  These depend on nothing else, so the last pair's tables are
+kept for the next run: for K_{300,300} they hold about 27 MiB, the graph
+included, after the run returns.  Every run still checks the edge lists,
+builds its color index and calls the round functions.  The color index holds
+groups: an X-vertex's edge ids with one list, kept in that vertex's
+preference order as a live list of the uncolored ones.  A round's pool has
+one form: a list of proposer lists, one per X-vertex, each nonempty and
+strictly falling in base color.  They are its color's live groups, except
+that an X-vertex with several groups wanting the color gets their ids merged
+best first, which only a list per edge brings about.  The engine keeps that
+form, as the live lists are cut from the checked order and only lose ids,
+and a merge is sorted; the round functions trust it, so no round builds or
+checks its pool.  The matching walks the lists, reading the rest off the
+id-indexed lists, and the kernel check range-tests each matched id before
+reading its ends, then walks each list once, up to the proposer's matched
+edge: the ids it proposed along, since the order absorbs those behind it at
+x.  Neither round function allocates anything sized by the vertex count, so
+a round costs O(proposals made), even when the graph has far more vertices
+than the pool has edges.  Each round is recorded as (color, matched ids):
+the trace rebuilds pools off the lists and the final coloring, sorts
+matchings and decodes ids to edges only when its rounds are read, and counts
+deletions only when they are read, so a caller that drops the trace pays for
+none of it.  Each coloring a public entry point hands out is checked once,
+by a checker that shares nothing with the rounds: `list_edge_color` runs
 `verify_edge_coloring` on it, and pack_complete, which runs the engine
 itself, checks the packing it reads off the coloring instead.
 """
@@ -90,22 +92,18 @@ class PreferenceSystem:
     def order_ids(self) -> dict[int, tuple[int, ...]]:
         """x -> the ids of x's edges, best (highest base color) first.
 
-        Every proposer sequence a round sees is cut from these tuples, so
-        they are checked once here: each id is an edge id, has X-end x, and
-        the base colors fall strictly along x's tuple, as a proper base
-        coloring gives x's edges distinct colors."""
+        Every proposer list a round sees is cut from these tuples, so their
+        order is checked once here: the base colors fall strictly along x's
+        tuple, as a proper base coloring gives x's edges distinct colors."""
         x_end, _, colors = self.oriented
-        edge_ids = range(len(self.edges))
         order: dict[int, list[int]] = {}
         for i, x in zip(self.index.values(), x_end):  # reuse index's ints
-            if i not in edge_ids:
-                raise RuntimeError("internal error: round pool holds an id outside the edge ids")
             order.setdefault(x, []).append(i)
         order_ids: dict[int, tuple[int, ...]] = {}
         for x, ids in order.items():
             ids.sort(key=colors.__getitem__, reverse=True)
             ranks = [colors[i] for i in ids]
-            if any(x_end[i] != x for i in ids) or not all(map(gt, ranks, ranks[1:])):
+            if not all(map(gt, ranks, ranks[1:])):
                 raise RuntimeError(f"internal error: X-vertex {x}'s base colors are not distinct")
             order_ids[x] = tuple(ids)
         return order_ids
@@ -226,50 +224,7 @@ def _edge_color_augmenting(g: Graph, delta: int) -> EdgeColoring:
     return EdgeColoring(colors, delta)
 
 
-class _CheckedPool:
-    """A round's pool as `proposals`: one nonempty sequence per X-vertex of
-    the pool, holding that vertex's pool ids in strictly decreasing base
-    color, best first.  Iterating it, or taking its length, runs over those
-    ids.  Only the engine and `_checked_pool` build one, and each keeps this
-    order: the engine's live lists are filtered from `order_ids`, whose order
-    is checked where it is built, and only lose ids; it sorts the ids it
-    merges; `_checked_pool` sorts a public pool."""
-
-    __slots__ = ("proposals",)
-
-    def __init__(self, proposals: list[list[int]]) -> None:
-        self.proposals = proposals
-
-    def __iter__(self) -> Iterator[int]:
-        return chain.from_iterable(self.proposals)
-
-    def __len__(self) -> int:
-        return sum(map(len, self.proposals))
-
-
-def _pool_ids(pool, prefs: PreferenceSystem) -> frozenset[int]:
-    """The pool's ids as a set, range-checked."""
-    ids = frozenset(pool)
-    edge_ids = range(len(prefs.edges))
-    # The type first: a range tests anything but an int against each of its
-    # members, and lets 1.0 in, which then fails as a list index.
-    if not all(type(i) is int and i in edge_ids for i in ids):
-        raise ValueError(f"pool holds an edge id outside 0..{len(prefs.edges) - 1}")
-    return ids
-
-
-def _checked_pool(pool, prefs: PreferenceSystem) -> _CheckedPool:
-    """A tuple or set pool in the engine's form: its ids once each,
-    range-checked, grouped by proposer and sorted best first."""
-    ids = _pool_ids(pool, prefs)
-    x_end, _, base_color = prefs.oriented
-    proposals: dict[int, list[int]] = {}
-    for i in sorted(ids, key=base_color.__getitem__, reverse=True):
-        proposals.setdefault(x_end[i], []).append(i)
-    return _CheckedPool(list(proposals.values()))
-
-
-def stable_matching(pool, prefs: PreferenceSystem) -> set[int]:
+def stable_matching(pool: list[list[int]], prefs: PreferenceSystem) -> set[int]:
     """Deferred acceptance on a nonempty pool of edge ids: X-side vertices
     propose along their pool edges in decreasing base color, a Y-side vertex
     holds the lowest-color proposal seen so far.  Returns the matched ids.
@@ -278,19 +233,19 @@ def stable_matching(pool, prefs: PreferenceSystem) -> set[int]:
     pool edge xy shares x with a matched edge of higher base color or shares y
     with a matched edge of lower base color.
 
-    Each proposer walks its own sequence of the pool's `proposals`, already
-    best first, so no pool id is hashed or looked up.  Proposers take turns
-    and a displaced one resumes at once: the order of proposals does not
-    change the X-optimal result (McVitie and Wilson 1971) as long as
-    preferences are strict, which a proper base coloring ensures."""
-    if type(pool) is not _CheckedPool:
-        pool = _checked_pool(pool, prefs)
-    if not pool.proposals:
+    The pool is the engine's round pool, trusted as it comes: one nonempty
+    list per X-vertex, its pool ids in strictly falling base color, which
+    `list_edge_color_trace` guarantees.  Each proposer walks its own list,
+    already best first, so no pool id is hashed or looked up.  Proposers
+    take turns and a displaced one resumes at once: the order of proposals
+    does not change the X-optimal result (McVitie and Wilson 1971) as long
+    as preferences are strict, which a proper base coloring ensures."""
+    if not pool:
         raise ValueError("stable matching of an empty edge pool is undefined")
     _, y_end, base_color = prefs.oriented
     # y -> (base color, edge id, the holder's proposals not yet made)
     held: dict[int, tuple[int, int, Iterator[int]]] = {}
-    for proposals in map(iter, pool.proposals):
+    for proposals in map(iter, pool):
         # x proposes until some y holds it or its pool edges run out; a holder
         # it displaces takes over from where that holder stopped.
         while (i := next(proposals, None)) is not None:
@@ -303,19 +258,19 @@ def stable_matching(pool, prefs: PreferenceSystem) -> set[int]:
     return {i for _, i, _ in held.values()}
 
 
-def kernel_check(pool, prefs: PreferenceSystem, matching) -> bool:
+def kernel_check(pool: list[list[int]], prefs: PreferenceSystem, matching) -> bool:
     """Test of the stable_matching postcondition on a pool of edge ids: the
     matching (ids too) lies inside the pool, is vertex-disjoint, and absorbs
     every other pool edge xy by a matched edge at x of higher base color or
     a matched edge at y of lower base color.
 
-    It reads only the pool edges ahead of each match.  A proposer's sequence
-    falls strictly in base color, so the edges behind x's matched edge are
-    absorbed at x by it, and those ahead of it, or all of x's edges when x
-    has none, must be absorbed at y.  The matched ids found in their
-    proposers' sequences must number |m|, which proves m lies in the pool."""
-    if type(pool) is not _CheckedPool:
-        pool = _checked_pool(pool, prefs)
+    The pool is trusted as `stable_matching` trusts it, in the form that
+    `list_edge_color_trace` guarantees; the matching is not.  It reads only
+    the pool edges ahead of each match.  A proposer's list falls strictly in
+    base color, so the edges behind x's matched edge are absorbed at x by
+    it, and those ahead of it, or all of x's edges when x has none, must be
+    absorbed at y.  The matched ids found in their proposers' lists must
+    number |m|, which proves m lies in the pool."""
     m = set(matching)
     edge_ids = range(len(prefs.edges))
     x_end, y_end, base_color = prefs.oriented
@@ -326,17 +281,17 @@ def kernel_check(pool, prefs: PreferenceSystem, matching) -> bool:
     matched_at_y: dict[int, int] = {}
     for i in m:
         if type(i) is not int or i not in edge_ids:
-            return False  # lies in no pool; the type first, as in _pool_ids
+            return False  # in no pool; the type first, as 1.0 in a range is True
         x, y = x_end[i], y_end[i]
         if x in matched_at_x or y in matched_at_y:
             return False  # two matched edges share a vertex
         matched_at_x[x] = i
         matched_at_y[y] = base_color[i]
     at_y, pop = matched_at_y.get, matched_at_x.pop
-    found = 0  # the matched ids met in their proposers' sequences
-    for ids in pool.proposals:
+    found = 0  # the matched ids met in their proposers' lists
+    for ids in pool:
         # Popped, so a pool naming x twice cannot count x's match twice.  A
-        # match missing from x's sequence goes uncounted, failing the end.
+        # match missing from x's list goes uncounted, failing the end.
         i = pop(x_end[ids[0]], None)
         for j in ids:
             if j == i:
@@ -393,7 +348,7 @@ def list_edge_color_trace(
             raise ValueError(f"list at edge {e} has {len(colors)} colors, need at least {delta}")
     edges = prefs.edges
     x_end, _, base_color = prefs.oriented
-    order_ids = prefs.order_ids  # range- and order-checked once per graph
+    order_ids = prefs.order_ids  # order-checked once per graph
     lists = [*map(edge_lists.__getitem__, edges)]  # id -> its list
     # Groups: an X-vertex's ids with one list, kept best first as a live list
     # of the uncolored ones.  wanting[c] = the live lists of the groups whose
@@ -406,7 +361,7 @@ def list_edge_color_trace(
         groups = groups_at[x] = {}
         for colors, run in groupby(ids, lists.__getitem__):
             groups.setdefault(colors, []).extend(run)  # index's ints: one object per id
-        if len(groups) == 1:  # one list at x, as in pack_complete: about 4% of a call
+        if len(groups) == 1:  # one list at x, as in pack_complete: ~7% of a pack-tight call
             [(colors, live)] = groups.items()
             for c in colors:
                 wanting.setdefault(c, []).append(live)
@@ -423,7 +378,7 @@ def list_edge_color_trace(
     color: list[int | None] = [None] * len(edges)
     records: list[tuple[int, tuple[int, ...]]] = []
     for alpha in sorted(wanting.keys() | merging.keys()):
-        # One sequence per proposer, best first: the pool needs no set.
+        # One list per proposer, best first: the pool needs no set.
         proposals = [live for live in wanting.pop(alpha, ()) if live]
         for lives in merging.pop(alpha, ()):
             merged = sorted(chain.from_iterable(lives), key=base_color.__getitem__, reverse=True)
@@ -431,9 +386,8 @@ def list_edge_color_trace(
                 proposals.append(merged)
         if not proposals:
             continue
-        pool = _CheckedPool(proposals)
-        matched = stable_matching(pool, prefs)
-        if not kernel_check(pool, prefs, matched):
+        matched = stable_matching(proposals, prefs)
+        if not kernel_check(proposals, prefs, matched):
             raise RuntimeError("internal error: round matching is not a kernel")
         for i in matched:
             color[i] = alpha

@@ -20,7 +20,7 @@ from listpacking import (
     Violation,
 )
 from listpacking.coloring import _require_domains
-from listpacking.galvin import EdgeColoring, PreferenceSystem, _edge_color_augmenting, _pool_ids
+from listpacking.galvin import EdgeColoring, PreferenceSystem, _edge_color_augmenting
 from listpacking.search import (
     _canonical_lists,
     _decode_tuple,
@@ -190,11 +190,23 @@ def reference_edge_color_augmenting(g: Graph, delta: int) -> EdgeColoring:
     return EdgeColoring(colors, delta)
 
 
+def as_pool(pool_ids, prefs: PreferenceSystem) -> list[list[int]]:
+    """A tuple or set of edge ids in the form the round functions take: its
+    ids once each, one list per X-vertex, each best (highest base color)
+    first."""
+    x_end, _, base_color = prefs.oriented
+    proposals: dict[int, list[int]] = {}
+    for i in sorted(set(pool_ids), key=base_color.__getitem__, reverse=True):
+        proposals.setdefault(x_end[i], []).append(i)
+    return list(proposals.values())
+
+
 def reference_stable_matching(pool, prefs: PreferenceSystem) -> set[int]:
     """`galvin.stable_matching` in its earlier shape, kept as its oracle:
     deferred acceptance with a FIFO queue of free proposers, X-vertices in
-    sorted order first, a rejected or displaced proposer going to the back."""
-    members = _pool_ids(pool, prefs)
+    sorted order first, a rejected or displaced proposer going to the back.
+    The pool is any collection of edge ids."""
+    members = frozenset(pool)
     if not members:
         raise ValueError("stable matching of an empty edge pool is undefined")
     x_end, order = prefs.oriented[0], reference_order(prefs)
@@ -223,8 +235,9 @@ def reference_stable_matching(pool, prefs: PreferenceSystem) -> set[int]:
 def reference_kernel_check(pool, prefs: PreferenceSystem, matching) -> bool:
     """`galvin.kernel_check` in its earlier shape, kept as its oracle: the
     matched base colors in vertex-keyed dicts, and the pool edges outside the
-    matching taken as a set difference."""
-    pool = _pool_ids(pool, prefs)
+    matching taken as a set difference.  The pool is any collection of edge
+    ids."""
+    pool = frozenset(pool)
     m = set(matching)
     if not m <= pool:
         return False

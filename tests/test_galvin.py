@@ -17,14 +17,14 @@ from listpacking import (
     bipartition,
     complete_bipartite,
     edge_color_bipartite,
-    kernel_check,
     list_edge_color,
     list_edge_color_trace,
     pack_complete,
-    stable_matching,
     verify_edge_coloring,
 )
+from listpacking.galvin import kernel_check, stable_matching
 from .helpers import (
+    as_pool,
     cycle_graph,
     reference_edge_color_augmenting,
     reference_kernel_check,
@@ -279,31 +279,36 @@ def _ids(prefs, edges):
     return {prefs.index[e] for e in edges}
 
 
+def _pool(prefs, edges):
+    return as_pool(_ids(prefs, edges), prefs)
+
+
 def test_stable_matching_single_proposer_takes_best():
     g, bip = complete_bipartite(1, 3)
     prefs = _prefs(g, bip)
     pool = list(g.edges)
     best = max(pool, key=prefs.base.colors.__getitem__)
-    assert stable_matching(_ids(prefs, pool), prefs) == _ids(prefs, [best])
+    assert stable_matching(_pool(prefs, pool), prefs) == _ids(prefs, [best])
 
 
 def test_stable_matching_singleton_pool():
     g, bip = complete_bipartite(2, 2)
     prefs = _prefs(g, bip)
-    assert stable_matching([prefs.index[(1, 3)]], prefs) == {prefs.index[(1, 3)]}
+    assert stable_matching(_pool(prefs, [(1, 3)]), prefs) == {prefs.index[(1, 3)]}
     with pytest.raises(ValueError):
-        stable_matching([], prefs)
+        stable_matching(as_pool([], prefs), prefs)
 
 
 def test_stable_matching_on_k22_is_a_brute_force_kernel():
     g, bip = complete_bipartite(2, 2)
     prefs = _prefs(g, bip)
     pool = _ids(prefs, g.edges)
-    matched = stable_matching(pool, prefs)
+    proposals = as_pool(pool, prefs)
+    matched = stable_matching(proposals, prefs)
     kernels = []
     for r in range(len(pool) + 1):
         for subset in combinations(sorted(pool), r):
-            if kernel_check(pool, prefs, set(subset)):
+            if kernel_check(proposals, prefs, set(subset)):
                 kernels.append(set(subset))
     assert kernels, "brute force found no kernel at all"
     assert matched in kernels
@@ -319,7 +324,7 @@ def test_stable_matching_is_always_a_kernel():
             continue
         pool = [e for e in g.edges if rng.random() < 0.7] or [g.edges[0]]
         prefs = _prefs(g, bip)
-        pool = _ids(prefs, pool)
+        pool = _pool(prefs, pool)
         matched = stable_matching(pool, prefs)
         assert kernel_check(pool, prefs, matched)
         trials += 1
@@ -328,7 +333,7 @@ def test_stable_matching_is_always_a_kernel():
 def test_kernel_check_rejects_bad_sets():
     g, bip = complete_bipartite(2, 2)
     prefs = _prefs(g, bip)
-    pool = _ids(prefs, g.edges)
+    pool = _pool(prefs, g.edges)
     assert not kernel_check(pool, prefs, set())
     assert not kernel_check(pool, prefs, _ids(prefs, [(1, 3), (1, 4)]))  # shares vertex 1
 
@@ -424,7 +429,7 @@ def test_trace_invariants_on_random_instances():
             assert type(rnd.pool_ids) is tuple and type(rnd.matched_ids) is tuple
             assert list(rnd.matched_ids) == sorted(rnd.matched_ids)
             assert rnd.pool == tuple(prefs.edges[i] for i in rnd.pool_ids)
-            assert kernel_check(_ids(prefs, rnd.pool), prefs, _ids(prefs, rnd.matched))
+            assert kernel_check(_pool(prefs, rnd.pool), prefs, _ids(prefs, rnd.matched))
         assert all(d <= delta - 1 for d in trace.deletions.values())
 
 
@@ -443,110 +448,57 @@ def test_kernel_check_rejects_one_unabsorbed_pool_edge():
     # color at x=1, which does not absorb on the X side.
     g, bip = complete_bipartite(2, 2)
     prefs = _prefs(g, bip)
-    assert not kernel_check(_ids(prefs, [(1, 3), (1, 4), (2, 3)]), prefs, _ids(prefs, [(1, 3)]))
+    assert not kernel_check(_pool(prefs, [(1, 3), (1, 4), (2, 3)]), prefs, _ids(prefs, [(1, 3)]))
     # (1,3) meets only a HIGHER matched color at y=3: no absorption there.
-    assert not kernel_check(_ids(prefs, [(1, 3), (2, 3)]), prefs, _ids(prefs, [(2, 3)]))
+    assert not kernel_check(_pool(prefs, [(1, 3), (2, 3)]), prefs, _ids(prefs, [(2, 3)]))
 
 
 def test_kernel_check_rejects_a_matching_that_shares_a_y_vertex():
     # Nothing is left to absorb, so only vertex-disjointness can reject it.
     g, bip = complete_bipartite(2, 2)
     prefs = _prefs(g, bip)
-    assert not kernel_check(_ids(prefs, [(1, 3), (2, 3)]), prefs, _ids(prefs, [(1, 3), (2, 3)]))
-    assert not kernel_check(_ids(prefs, [(1, 3), (1, 4)]), prefs, _ids(prefs, [(1, 3), (1, 4)]))
+    assert not kernel_check(_pool(prefs, [(1, 3), (2, 3)]), prefs, _ids(prefs, [(1, 3), (2, 3)]))
+    assert not kernel_check(_pool(prefs, [(1, 3), (1, 4)]), prefs, _ids(prefs, [(1, 3), (1, 4)]))
 
 
 def test_kernel_check_rejects_matched_edge_outside_pool():
     g, bip = complete_bipartite(2, 2)
     prefs = _prefs(g, bip)
     # A disjoint matching that absorbs (1,3) at x=1, but (2,3) is not in the pool.
-    assert not kernel_check(_ids(prefs, [(1, 3), (1, 4)]), prefs, _ids(prefs, [(1, 4), (2, 3)]))
+    assert not kernel_check(_pool(prefs, [(1, 3), (1, 4)]), prefs, _ids(prefs, [(1, 4), (2, 3)]))
 
 
 def test_kernel_check_counts_each_matched_id_in_the_pool_once():
     # The check proves the matching lies in the pool by counting the matched
     # ids it meets there, so a pool that meets one matched id twice must not
     # stand in for one that holds two.  K_{2,2}: (1,3) and (2,4) are disjoint
-    # and the pool holds only (1,3), as two proposer sequences.
-    from listpacking.galvin import _CheckedPool
-
+    # and the pool holds only (1,3), as two proposer lists.
     g, bip = complete_bipartite(2, 2)
     prefs = _prefs(g, bip)
     a, b = prefs.index[(1, 3)], prefs.index[(2, 4)]
-    assert kernel_check(_CheckedPool([[a], [b]]), prefs, {a, b})
-    assert not kernel_check(_CheckedPool([[a], [a]]), prefs, {a, b})
-
-
-def test_round_functions_reject_out_of_range_pool_ids():
-    # A negative id would silently index from the end of the id tables, and
-    # 1.0 would fail as a list index.  1.0 equals the pool's id 1, so it
-    # takes that id's place.
-    g, bip = complete_bipartite(2, 2)
-    prefs = _prefs(g, bip)
-    pool = _ids(prefs, g.edges)
-    for bad in (-1, len(prefs.edges), 1.0):
-        with pytest.raises(ValueError, match="outside"):
-            stable_matching((pool - {bad}) | {bad}, prefs)
-        with pytest.raises(ValueError, match="outside"):
-            kernel_check((pool - {bad}) | {bad}, prefs, stable_matching(pool, prefs))
-
-
-def test_round_functions_check_a_tuple_pool_and_a_frozenset_pool():
-    # Only the engine's own pools skip the range check.
-    g, bip = complete_bipartite(2, 2)
-    prefs = _prefs(g, bip)
-    pool = sorted(_ids(prefs, g.edges))
-    matched = stable_matching(pool, prefs)
-    for bad in (-1, len(prefs.edges)):
-        for shape in (tuple, frozenset):
-            with pytest.raises(ValueError, match="outside"):
-                stable_matching(shape([*pool, bad]), prefs)
-            with pytest.raises(ValueError, match="outside"):
-                kernel_check(shape([*pool, bad]), prefs, matched)
-
-
-def test_engine_range_checks_each_round_pool_itself():
-    # Every pool id comes from order_ids, range-checked where it is built,
-    # so only an id table gone past the edge ids can trip that check: an
-    # internal error.
-    from listpacking import galvin
-
-    g, bip = complete_bipartite(3, 3)
-    lists = {e: frozenset({1, 2, 3}) for e in g.edges}
-    galvin._preferences.cache_clear()
-    try:
-        prefs = galvin._preferences(g, bip)
-        prefs.__dict__["index"] = {e: i + 1 for i, e in enumerate(prefs.edges)}
-        with pytest.raises(RuntimeError, match="internal error: round pool holds an id"):
-            list_edge_color_trace(g, bip, lists)
-    finally:
-        galvin._preferences.cache_clear()
-    list_edge_color_trace(g, bip, lists)
+    assert kernel_check([[a], [b]], prefs, {a, b})
+    assert not kernel_check([[a], [a]], prefs, {a, b})
 
 
 def test_kernel_check_rejects_out_of_range_matching_ids():
-    # Not in the pool, so not a kernel, whatever the id, on a public pool and
-    # on the engine's own form.  A negative id would read from the end of the
-    # id tables, and a float or a string would fail as a list index: each is
-    # refused before any read.  1.0 equals the matched id 1, so it takes
-    # that id's place.
-    from listpacking.galvin import _checked_pool
-
+    # Not in the pool, so not a kernel, whatever the id.  A negative id would
+    # read from the end of the id tables, and a float or a string would fail
+    # as a list index: each is refused before any read.  1.0 equals the
+    # matched id 1, so it takes that id's place.
     g, bip = complete_bipartite(2, 2)
     prefs = _prefs(g, bip)
-    pool = _ids(prefs, g.edges)
+    pool = _pool(prefs, g.edges)
     matched = stable_matching(pool, prefs)
     assert 1 in matched
-    for given in (pool, _checked_pool(pool, prefs)):
-        assert kernel_check(given, prefs, matched)
-        for bad in (-1, len(prefs.edges), 1.5, "0", 1.0):
-            assert not kernel_check(given, prefs, {bad})
-            assert not kernel_check(given, prefs, (matched - {bad}) | {bad})
+    assert kernel_check(pool, prefs, matched)
+    for bad in (-1, len(prefs.edges), 1.5, "0", 1.0):
+        assert not kernel_check(pool, prefs, {bad})
+        assert not kernel_check(pool, prefs, (matched - {bad}) | {bad})
 
 
 def test_a_non_int_id_is_refused_without_a_comparison():
     # A range tests anything but an int by comparing it with each member,
-    # so the round functions test an id's type first: the id below counts
+    # so kernel_check tests a matched id's type first: the id below counts
     # the comparisons made with it.
     class Counted:
         eqs = 0
@@ -559,12 +511,7 @@ def test_a_non_int_id_is_refused_without_a_comparison():
     odd = Counted()
     g, bip = complete_bipartite(2, 2)
     prefs = _prefs(g, bip)
-    pool = _ids(prefs, g.edges)
-    assert not kernel_check(pool, prefs, {odd})
-    with pytest.raises(ValueError, match="outside"):
-        stable_matching(pool | {odd}, prefs)
-    with pytest.raises(ValueError, match="outside"):
-        kernel_check(pool | {odd}, prefs, {0})
+    assert not kernel_check(_pool(prefs, g.edges), prefs, {odd})
     assert Counted.eqs == 0
 
 
@@ -572,9 +519,9 @@ def test_kernel_check_accepts_absorption_at_one_end_only():
     g, bip = complete_bipartite(2, 2)
     prefs = _prefs(g, bip)
     # X end only: (1,3) meets the higher (1,4) at x=1, nothing at y=3.
-    assert kernel_check(_ids(prefs, [(1, 3), (1, 4)]), prefs, _ids(prefs, [(1, 4)]))
+    assert kernel_check(_pool(prefs, [(1, 3), (1, 4)]), prefs, _ids(prefs, [(1, 4)]))
     # Y end only: (2,3) meets the lower (1,3) at y=3, nothing at x=2.
-    assert kernel_check(_ids(prefs, [(1, 3), (2, 3)]), prefs, _ids(prefs, [(1, 3)]))
+    assert kernel_check(_pool(prefs, [(1, 3), (2, 3)]), prefs, _ids(prefs, [(1, 3)]))
 
 
 def _digest(obj) -> str:
@@ -752,8 +699,9 @@ def test_stable_matching_matches_the_queue_reference_on_every_round_pool(monkeyp
 
     def checking(pool, prefs):
         matched = original(pool, prefs)
-        assert matched == reference_stable_matching(pool, prefs), pool
-        pools.append(len(pool))
+        ids = [*chain.from_iterable(pool)]
+        assert matched == reference_stable_matching(ids, prefs), ids
+        pools.append(len(ids))
         return matched
 
     monkeypatch.setattr(galvin, "stable_matching", checking)
@@ -825,14 +773,15 @@ def test_kernel_check_matches_the_set_difference_reference_on_every_round_pool(m
 
     def checking(pool, prefs, matching):
         nonlocal fully_matched
+        ids = frozenset(chain.from_iterable(pool))
         matched = set(matching)
-        fully_matched += matched == frozenset(pool)
+        fully_matched += matched == ids
         variants = [matched, matched - {min(matched)}]
-        if unmatched := frozenset(pool) - matched:
+        if unmatched := ids - matched:
             variants.append(matched | {min(unmatched)})
         for m in variants:
             verdict = original(pool, prefs, m)
-            assert verdict == reference_kernel_check(pool, prefs, m), (sorted(pool), sorted(m))
+            assert verdict == reference_kernel_check(ids, prefs, m), (sorted(ids), sorted(m))
             verdicts[verdict] += 1
         return original(pool, prefs, matching)
 
@@ -859,11 +808,12 @@ def test_round_functions_allocate_nothing_sized_by_the_vertex_count():
     g = Graph.from_edges(2 * n, [(k, n + k) for k in range(1, n + 1)])
     bip = Bipartition(frozenset(range(1, n + 1)), frozenset(range(n + 1, 2 * n + 1)))
     prefs = _prefs(g, bip)
-    assert stable_matching((7,), prefs) == {7}  # builds the cached tables
+    pool = as_pool((7,), prefs)
+    assert stable_matching(pool, prefs) == {7}  # builds the cached tables
     tracemalloc.start()
     try:
-        assert stable_matching((7,), prefs) == {7}
-        assert kernel_check((7,), prefs, {7}) and not kernel_check((7,), prefs, ())
+        assert stable_matching(pool, prefs) == {7}
+        assert kernel_check(pool, prefs, {7}) and not kernel_check(pool, prefs, ())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -890,8 +840,8 @@ def test_stable_matching_matches_the_queue_reference_where_x_vertices_merge_grou
     # With a list per edge, an X-vertex can hold several groups (its edges of
     # one list) that want one color; the engine merges their live ids best
     # first for that round.  On every round pool of seeded per-edge instances,
-    # complete and not, each proposer's sequence is its pool edges best first,
-    # the sequences split the pool, and the matching is the FIFO-queue one.
+    # complete and not, each proposer's list is its pool edges best first,
+    # the lists split the pool, and the matching is the FIFO-queue one.
     from listpacking import galvin
 
     original = galvin.stable_matching
@@ -900,13 +850,14 @@ def test_stable_matching_matches_the_queue_reference_where_x_vertices_merge_grou
     def checking(pool, prefs):
         nonlocal merged_rounds
         x_end, _, base_color = prefs.oriented
-        for ids in pool.proposals:
+        for ids in pool:
             assert len({x_end[i] for i in ids}) == 1
             assert [base_color[i] for i in ids] == sorted(map(base_color.__getitem__, ids))[::-1]
             merged_rounds += len({lists[prefs.edges[i]] for i in ids}) > 1
-        assert sorted(chain.from_iterable(pool.proposals)) == sorted(pool)
+        pool_ids = [*chain.from_iterable(pool)]
+        assert len(set(pool_ids)) == len(pool_ids)
         matched = original(pool, prefs)
-        assert matched == reference_stable_matching(pool, prefs), sorted(pool)
+        assert matched == reference_stable_matching(pool_ids, prefs), sorted(pool_ids)
         return matched
 
     monkeypatch.setattr(galvin, "stable_matching", checking)
@@ -921,36 +872,57 @@ def test_stable_matching_matches_the_queue_reference_where_x_vertices_merge_grou
     assert merged_rounds > 500
 
 
-def test_the_engine_never_sends_a_round_through_the_public_pool_normalizer(monkeypatch):
-    # The engine hands both round functions pools already in their form, so
-    # no round pool is rehashed or range-checked again; a tuple or set pool
-    # from any other caller still is.
+def test_each_round_hands_both_round_functions_one_pool_in_their_form(monkeypatch):
+    # The round functions trust their pool: one nonempty list per X-vertex,
+    # of in-range int ids, strictly falling in base color.  On every round of
+    # the 200 seeded random instances (a list per edge in about half, so
+    # some X-vertices merge groups), the per-edge instances and the K_48
+    # inputs, the engine hands both functions one such list object.
     from listpacking import galvin
 
-    calls = Counter()
+    matching, checking = galvin.stable_matching, galvin.kernel_check
+    handed = []
+    merged = 0
 
-    def counting(name):
-        original = getattr(galvin, name)
+    def matching_in_form(pool, prefs):
+        nonlocal merged
+        x_end, _, base_color = prefs.oriented
+        edge_ids = range(len(prefs.edges))
+        assert type(pool) is list and pool
+        for ids in pool:
+            assert type(ids) is list and ids
+            assert all(type(i) is int and i in edge_ids for i in ids)
+            assert len({x_end[i] for i in ids}) == 1
+            colors = [base_color[i] for i in ids]
+            assert all(a > b for a, b in zip(colors, colors[1:]))
+            merged += lists is not None and len({lists[prefs.edges[i]] for i in ids}) > 1
+        assert len({x_end[ids[0]] for ids in pool}) == len(pool)
+        handed.append(pool)
+        return matching(pool, prefs)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
+    def checking_the_same(pool, prefs, matched):
+        assert pool is handed[-1]
+        handed.append(pool)
+        return checking(pool, prefs, matched)
 
-        return wrapper
-
-    for name in ("_checked_pool", "_pool_ids"):
-        monkeypatch.setattr(galvin, name, counting(name))
+    monkeypatch.setattr(galvin, "stable_matching", matching_in_form)
+    monkeypatch.setattr(galvin, "kernel_check", checking_the_same)
     rng = random.Random(2207)
-    for _ in range(200):
-        list_edge_color_trace(*_random_engine_instance(rng))
+    instances = [_random_engine_instance(rng) for _ in range(200)]
+    instances += _per_edge_instances(random.Random(2817), 100)
+    rounds = 0
+    for g, bip, lists in instances:
+        handed.clear()
+        _, trace = list_edge_color_trace(g, bip, lists)
+        assert handed[::2] == handed[1::2] and len(handed) == 2 * len(trace.rounds)
+        rounds += len(trace.rounds)
+    lists = None  # pack_complete's lists are one per X-vertex: none merge
     for request in _k48_requests():
+        handed.clear()
         pack_complete(request)
-    assert calls == Counter()
-    g, bip = complete_bipartite(2, 2)
-    prefs = _prefs(g, bip)
-    pool = _ids(prefs, g.edges)
-    assert kernel_check(pool, prefs, stable_matching(tuple(pool), prefs))
-    assert calls == Counter({"_checked_pool": 2, "_pool_ids": 2})
+        assert handed[::2] == handed[1::2] and len(handed) >= 2 * 48
+        rounds += len(handed) // 2
+    assert rounds > 3000 and merged > 500
 
 
 def test_only_a_read_of_the_deletions_counts_them(monkeypatch):
@@ -987,10 +959,7 @@ def test_kernel_check_matches_the_reference_on_every_subset_of_small_pools():
     # Seeded random bipartite graphs, a pool of at most 10 of their edges,
     # and every subset of the pool as the matching, alone and with an edge
     # from outside the pool: the check that reads only the edges ahead of
-    # each match returns the set-difference reference's verdict, with the
-    # pool as a tuple, as a set and in the engine's form.
-    from listpacking.galvin import _checked_pool
-
+    # each match returns the set-difference reference's verdict.
     rng = random.Random(1029)
     verdicts = Counter()
     for _ in range(40):
@@ -998,14 +967,13 @@ def test_kernel_check_matches_the_reference_on_every_subset_of_small_pools():
         g, bip = complete_bipartite(n, m) if rng.random() < 0.4 else _random_bipartite(rng, n, m)
         prefs = _prefs(g, bip)
         pool = rng.sample(range(len(prefs.edges)), min(len(prefs.edges), rng.randint(6, 10)))
-        shapes = (tuple(pool), set(pool), _checked_pool(pool, prefs))
+        proposals = as_pool(pool, prefs)
         outside = tuple(i for i in range(len(prefs.edges)) if i not in pool)[:1]
         for size in range(len(pool) + 1):
             for subset in combinations(pool, size):
                 for matching in {subset, subset + outside}:
                     expected = reference_kernel_check(pool, prefs, matching)
-                    for shape in shapes:
-                        assert kernel_check(shape, prefs, matching) == expected, (pool, matching)
+                    assert kernel_check(proposals, prefs, matching) == expected, (pool, matching)
                     verdicts[expected] += 1
     # Every pool has a stable matching among its subsets.
     assert verdicts[True] >= 40 and verdicts[False] > 10 * verdicts[True], verdicts
@@ -1025,7 +993,7 @@ def _per_edge_instances(rng, count):
 def test_kernel_check_matches_the_reference_where_one_match_moves(monkeypatch):
     # On every round pool of the 200 seeded random instances, the per-edge
     # instances and the K_48 inputs, one proposer (drawn per round) has its
-    # match moved one step worse in its sequence, one step better, or taken
+    # match moved one step worse in its list, one step better, or taken
     # away, with "unmatched" the place past its worst edge.  Each variant
     # gets the reference's verdict.  A move that changes a kernel breaks it,
     # so True comes where the move leaves the proposer where it was: worse
@@ -1037,7 +1005,7 @@ def test_kernel_check_matches_the_reference_where_one_match_moves(monkeypatch):
     verdicts = {kind: Counter() for kind in ("worse", "better", "unmatched")}
 
     def checking(pool, prefs, matching):
-        ids = draw.choice(pool.proposals)
+        ids = draw.choice(pool)
         rest = set(matching).difference(ids)
         place = next((k for k, i in enumerate(ids) if i in matching), len(ids))
         places = {
@@ -1048,7 +1016,8 @@ def test_kernel_check_matches_the_reference_where_one_match_moves(monkeypatch):
         for kind, k in places.items():
             m = rest | set(ids[k : k + 1])
             verdict = original(pool, prefs, m)
-            assert verdict == reference_kernel_check(pool, prefs, m), (kind, sorted(pool), m)
+            pool_ids = [*chain.from_iterable(pool)]
+            assert verdict == reference_kernel_check(pool_ids, prefs, m), (kind, sorted(pool_ids), m)
             assert verdict == (k == place)
             verdicts[kind][verdict] += 1
         return original(pool, prefs, matching)
@@ -1078,7 +1047,7 @@ def test_the_trace_rebuilds_each_round_pool_the_matching_saw(monkeypatch):
     matching, engine = galvin.stable_matching, galvin.list_edge_color_trace
 
     def recording(pool, prefs):
-        seen.append(sorted(pool))
+        seen.append(sorted(chain.from_iterable(pool)))
         return matching(pool, prefs)
 
     def checking(*args):

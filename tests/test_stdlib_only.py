@@ -74,3 +74,29 @@ def test_every_function_the_benchmark_tracer_wraps_exists():
         if not callable(getattr(importlib.import_module(f"listpacking.{module}"), attr, None))
     ]
     assert not missing, f"bench/tracing.py wraps missing functions {missing}"
+
+
+def test_every_private_module_level_name_is_used_by_the_package():
+    # A private function or class that only the tests reach belongs in the
+    # tests: each one defined at a module's top level must be named by
+    # package code outside its own definition.  Dunders are exempt.
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    private, used = set(), set()
+    for path in MODULES:
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            own = top.name if isinstance(top, definitions) else None
+            if own and own.startswith("_") and not own.endswith("__"):
+                private.add(f"{path.name}:{own}")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    unused = sorted(entry for entry in private if entry.split(":")[1] not in used)
+    assert private and not unused, f"private names no package code uses: {unused}"
