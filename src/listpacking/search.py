@@ -16,10 +16,14 @@ Everything here is deliberately dumb and deterministic: fixed vertex order,
 sorted color order, no heuristics.  "absent" always means a completed search;
 running out of budget is a distinct outcome, never a wrong answer.
 
-The packing search encodes each ordered k-tuple of colors as an int bitmask
-of its (coordinate, color) pairs, so that two tuples clash in some coordinate
-exactly when their masks intersect; the masks of a list are built once and
-memoized.
+The packing search indexes the ordered k-tuples of colors from each list in
+permutations order and holds a vertex's domain as one int over those indices.
+A list's table, built once and memoized, keeps per (coordinate, color) bit
+the hit mask of the tuples that hold it, so placing a tuple narrows a
+neighbour's domain by the OR of k hit masks and one AND, whatever the
+domain's size.  The hit masks are built whole, never tuple by tuple, once
+per list size and k: every list of m colors renames those of the positions
+0..m-1.  A tuple's own bits are decoded from its index when first tried.
 
 Every scan is warm-started, the list-chromatic one included (it is the
 packing scan at k = 1): consecutive canonical assignments mostly share every
@@ -43,10 +47,12 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_right
-from collections.abc import Iterator, Sequence
+from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import compress, permutations, product
+from itertools import compress, permutations, product, zip_longest
+from math import perm
 from operator import itemgetter
 
 from .coloring import (
@@ -183,7 +189,7 @@ def _solve_packing(g: Graph, ell: ListAssignment, k: int, ticker: _Ticker) -> Pa
         return None
     rows: tuple[Coloring, ...] = tuple({} for _ in range(k))
     for v in g.vertices():
-        _decode_tuple(chosen[v], v, colors, rows)
+        _write_tuple(chosen[v], v, colors, rows)
     return _verified(g, ell, rows)
 
 
@@ -196,65 +202,163 @@ def _verified(g: Graph, ell: ListAssignment, rows: tuple[Coloring, ...]) -> Pack
     return packing
 
 
+class _Tuples(dict):
+    """The ordered k-tuples of distinct colors from a list, by their index
+    in permutations order, each as its k bits: `bits[p*k + j]` for the
+    list's color at position p in coordinate j.  A tuple is decoded when
+    first asked for, and kept: renamed from the same tuple of `positions`,
+    the table of the positions 0..m-1 themselves, or in that table, whose
+    `positions` is None, worked out from its index."""
+
+    __slots__ = ("bits", "k", "positions")
+
+    def __init__(self, bits: list[int], k: int, positions: _Tuples | None):
+        super().__init__()
+        self.bits, self.k, self.positions = bits, k, positions
+
+    def __missing__(self, index: int) -> tuple[int, ...]:
+        if self.positions is not None:
+            found = tuple(map(self.bits.__getitem__, self.positions[index]))
+        else:
+            k, rest = self.k, index
+            left = list(range(len(self.bits) // k))
+            decoded = []
+            for j in range(k):
+                # The tuples that share their first j positions come in
+                # equal blocks, one per next position, in the order of those left.
+                block, rest = divmod(rest, perm(len(left) - 1, k - j - 1))
+                decoded.append(left.pop(block) * k + j)
+            found = tuple(decoded)
+        self[index] = found
+        return found
+
+
 @lru_cache(maxsize=1024)
-def _tuple_masks(ranks: tuple[int, ...], k: int) -> tuple[int, ...]:
+def _tuple_table(ranks: tuple[int, ...], k: int) -> tuple[int, _Tuples, defaultdict[int, int]]:
     """The ordered k-tuples of distinct colors from a list, given as its
-    sorted color ranks, in permutations order, each encoded as the bitmask
-    with bit r*k + j set for rank r in coordinate j."""
-    return tuple(
-        sum(1 << (r * k + j) for j, r in enumerate(p)) for p in permutations(ranks, k)
-    )
+    sorted color ranks, indexed 0, 1, ... in permutations order: the mask
+    of all their indices, their bits as `_Tuples`, bit r*k + j for rank r
+    in coordinate j, and per bit the hit mask of the tuples that hold it,
+    tuple i at bit i, 0 for a bit no tuple holds (looking one up stores
+    that 0).  Only the table of the positions 0..m-1 themselves builds its
+    hit masks; every list of m colors renames them."""
+    m = len(ranks)
+    bits = [r * k + j for r in ranks for j in range(k)]
+    if ranks[-1] == m - 1:  # the ranks are the positions 0..m-1 themselves
+        hits = defaultdict(int, zip(bits, _position_hits(m, k)))
+        return (1 << perm(m, k)) - 1, _Tuples(bits, k, None), hits
+    full, positions, hits = _tuple_table(tuple(range(m)), k)
+    # The positions' masks come first in `hits`, in position order; lookups
+    # only ever add zeros after them.
+    return full, _Tuples(bits, k, positions), defaultdict(int, zip(bits, hits.values()))
+
+
+def _position_hits(m: int, k: int) -> list[int]:
+    """The hit masks of the ordered k-tuples of positions 0..m-1, in
+    permutations order, position p in coordinate j at index p*k + j.
+
+    They are built block by block, never tuple by tuple.  In permutations
+    order the tuples fall into m equal blocks by their first position a,
+    and block a lists the (k-1)-tuples of the other m-1 positions in their
+    own permutations order, position p renumbered p - (p > a).  So in a
+    later coordinate, position p's mask is the shorter tuples' mask of
+    p - 1 in every block before block p and that of p in every block after
+    it: from length 1 up, a few operations on whole masks per position and
+    coordinate."""
+    # At each length, position p in coordinate j has its mask at p*length + j.
+    hits = [1 << p for p in range(m - k + 1)]
+    for length in range(2, k + 1):
+        width, shorter = m - k + length, length - 1
+        block = perm(width - 1, shorter)
+        longer: list[int] = []
+        previous = [0] * shorter  # position p - 1's shorter masks, in every block
+        for p in range(width):
+            before, after = (1 << p * block) - 1, -1 << (p + 1) * block
+            mine = [_tile(h, width, block) for h in hits[p * shorter : (p + 1) * shorter]]
+            longer.append(((1 << block) - 1) << p * block)
+            longer += [x & before | y & after for x, y in zip_longest(previous, mine, fillvalue=0)]
+            previous = mine
+        hits = longer
+    return hits
+
+
+def _tile(mask: int, count: int, block: int) -> int:
+    """`mask`, which fits in `block` bits, copied into each of `count`
+    consecutive blocks of that many bits, by doubling."""
+    tiled, copies = mask, 1
+    while copies < count:
+        tiled |= tiled << copies * block
+        copies *= 2
+    return tiled & (1 << count * block) - 1
 
 
 def _rank_colors(g: Graph, ell: ListAssignment) -> tuple[list[int], list[tuple[int, ...]]]:
     """The instance's colors in sorted order, and each vertex's list, in
-    vertex order, as the sorted ranks of its colors among them."""
-    lists = [ell[v] for v in g.vertices()]
-    colors = sorted(set().union(*lists))
-    rank = {c: r for r, c in enumerate(colors)}
-    return colors, [tuple(sorted(map(rank.__getitem__, cs))) for cs in lists]
+    vertex order, as the sorted ranks of its colors among them; each
+    distinct list is ranked once."""
+    lists = list(map(ell.lists.__getitem__, g.vertices()))
+    distinct = dict.fromkeys(lists)
+    colors = sorted(set().union(*distinct))
+    rank = {c: r for r, c in enumerate(colors)}.__getitem__
+    for cs in distinct:
+        distinct[cs] = tuple(sorted(map(rank, cs)))
+    return colors, list(map(distinct.__getitem__, lists))
 
 
 def _packing_search(
     later: list[tuple[int, ...]], ranks: list[tuple[int, ...]], k: int, ticker: _Ticker
-) -> list[int] | None:
+) -> list[tuple[int, ...]] | None:
     """Forward-checking search over ordered k-tuples, on the lists as
     `_rank_colors` numbers them, with `later[v]` the neighbours of vertex v
-    above v: the tuple chosen for each vertex v, at index v, or None.  A
-    tuple is a bitmask of its (coordinate, color) pairs, colors numbered by
-    rank so masks stay k*|colors| bits wide whatever the color values; two
-    tuples may sit on adjacent vertices exactly when their masks are
-    disjoint.  Masks are never 0, so 0 marks a domain used up."""
+    above v: the bits of the tuple chosen for each vertex v, at index v, as
+    `_tuple_table` gives them, or None.  A domain is an int over the
+    indices of its list's tuples; placing a tuple strikes from each later
+    neighbour's domain the tuples that share one of its k (coordinate,
+    color) bits, the OR of that neighbour's hit masks at those bits, so
+    narrowing costs k lookups and one AND whatever the domain's size.  A
+    vertex tries its domain's tuples lowest index first, which is
+    permutations order."""
     n = len(ranks)
-    chosen = [0] * (n + 1)
+    chosen: list[tuple[int, ...]] = [()] * (n + 1)
     if n == 0:
         return chosen
-    domains: list[Sequence[int]] = [()] + [_tuple_masks(r, k) for r in ranks]
-    # Depth-first with an explicit stack: per vertex, an iterator over its
-    # domain on arrival, and the (neighbour, old domain) pairs its current
-    # tuple replaced, put back before it tries the next.  Vertices go in
-    # order 1..n, so at vertex v, 1..v hold tuples and later[v] are unplaced.
-    tries: list[Iterator[int]] = [iter(())] * (n + 1)
-    saved: list[list[tuple[int, Sequence[int]]]] = [[] for _ in range(n + 1)]
+    tables = [(0, {}, {})] + [_tuple_table(r, k) for r in ranks]
+    domains = [t[0] for t in tables]
+    tuples = [t[1] for t in tables]
+    hits = [t[2] for t in tables]
+    # Depth-first with an explicit stack: per vertex, the tuples of its
+    # domain on arrival it has yet to try, and the (neighbour, old domain)
+    # pairs its current tuple replaced, put back before it tries the next.
+    # Vertices go in order 1..n, so at vertex v, 1..v hold tuples and
+    # later[v] are unplaced.
+    untried = [0] * (n + 1)
+    saved: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
     spend = ticker.spend
     v = 1
-    tries[v] = iter(domains[v])
+    untried[v] = domains[v]
     while True:
         undo = saved[v]
         if undo:
             for w, old in undo:
                 domains[w] = old
             undo.clear()
-        p = next(tries[v], 0)
-        if not p:
+        rest = untried[v]
+        if not rest:
             v -= 1
             if v == 0:
                 return None
             continue
+        low = rest & -rest
+        untried[v] = rest ^ low
+        p = tuples[v][low.bit_length() - 1]
         spend()
         for w in later[v]:
+            hit = hits[w]
+            kill = 0
+            for b in p:
+                kill |= hit[b]
             old = domains[w]
-            kept = [q for q in old if not p & q]
+            kept = old & ~kill
             if not kept:
                 break
             undo.append((w, old))
@@ -264,18 +368,18 @@ def _packing_search(
             if v == n:
                 break
             v += 1
-            tries[v] = iter(domains[v])
+            untried[v] = domains[v]
     return chosen
 
 
-def _decode_tuple(mask: int, v: int, colors: Sequence[int], rows: tuple[Coloring, ...]) -> None:
-    """Write the k-tuple that `mask` encodes, colors by rank in `colors`,
+def _write_tuple(
+    bits: Sequence[int], v: int, colors: Sequence[int], rows: tuple[Coloring, ...]
+) -> None:
+    """Write the k-tuple whose bits are `bits`, colors by rank in `colors`,
     into the rows as vertex v's entries."""
     k = len(rows)
-    while mask:
-        bit = (mask & -mask).bit_length() - 1
-        rows[bit % k][v] = colors[bit // k]
-        mask &= mask - 1
+    for row, b in zip(rows, bits):
+        row[v] = colors[b // k]
 
 
 # ---------------------------------------------------------------------------
@@ -559,19 +663,25 @@ def _refit_last_vertex(
     """Give vertex n, in place, k distinct colors of its sorted list
     `colors`, one per row, row j avoiding the colors `used` in row j by n's
     neighbours: a system of distinct representatives of rows by colors.  It
-    is the first ordered k-tuple of the list, over the same tuple masks and
-    in the same order as the cold search, that misses the neighbours'
-    (row, color) bits.  False when none does; a re-fit spends one node."""
+    is the first ordered k-tuple of the list, in the same table and order
+    as the cold search, with colors ranked by position in the list, that
+    holds none of the neighbours' (row, color) bits: the lowest index the
+    hit masks at those bits leave.  False when none does; a re-fit spends
+    one node."""
     ticker.spend()
     k = len(rows)
+    free, tuples, hits = _tuple_table(tuple(range(len(colors))), k)
     taken = 0
     for r, c in enumerate(colors):
         taken |= used.get(c, 0) << r * k
-    for mask in _tuple_masks(tuple(range(len(colors))), k):
-        if not mask & taken:
-            _decode_tuple(mask, n, colors, rows)
-            return True
-    return False
+    while taken:
+        low = taken & -taken
+        free &= ~hits[low.bit_length() - 1]
+        taken ^= low
+    if not free:
+        return False
+    _write_tuple(tuples[(free & -free).bit_length() - 1], n, colors, rows)
+    return True
 
 
 def find_bad_assignment(

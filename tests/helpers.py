@@ -4,7 +4,7 @@ independent of the library's own search paths."""
 from __future__ import annotations
 
 from collections import Counter, deque
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -23,12 +23,10 @@ from listpacking.coloring import _require_domains
 from listpacking.galvin import EdgeColoring, PreferenceSystem, _edge_color_augmenting
 from listpacking.search import (
     _canonical_lists,
-    _decode_tuple,
     _meet,
     _movers,
     _reader,
     _stabilizer,
-    _tuple_masks,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -331,11 +329,32 @@ def enumerated_packing_report(g: Graph, ell: ListAssignment, packing: Packing) -
     return VerifyReport.from_violations(violations)
 
 
+@lru_cache(maxsize=1024)
+def _tuple_masks(ranks: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """The ordered k-tuples of distinct colors from a list, given as its
+    sorted color ranks, in permutations order, each encoded as the bitmask
+    with bit r*k + j set for rank r in coordinate j."""
+    return tuple(
+        sum(1 << (r * k + j) for j, r in enumerate(p)) for p in permutations(ranks, k)
+    )
+
+
+def _decode_tuple(mask: int, v: int, colors, rows: tuple[dict[int, int], ...]) -> None:
+    """Write the k-tuple that `mask` encodes, colors by rank in `colors`,
+    into the rows as vertex v's entries."""
+    k = len(rows)
+    while mask:
+        bit = (mask & -mask).bit_length() - 1
+        rows[bit % k][v] = colors[bit // k]
+        mask &= mask - 1
+
+
 def reference_packing_search(g: Graph, colors, ranks, k: int, ticker):
     """The packing backtracker in its earlier shape, kept as the oracle for
     `search._packing_search`: the same vertex order, tuple order and node
-    spending, with each vertex's domain read by position, its neighbours
-    filtered by `w > v` at every node and a flag for a wiped-out domain.
+    spending, with each vertex's domain a sequence of tuple masks read by
+    position, its neighbours filtered by `w > v` at every node, one mask
+    test per tuple left, and a flag for a wiped-out domain.
     The rows of the first packing found, or None."""
     if g.n == 0:
         return tuple({} for _ in range(k))

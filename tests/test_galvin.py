@@ -861,13 +861,7 @@ def test_stable_matching_matches_the_queue_reference_where_x_vertices_merge_grou
         return matched
 
     monkeypatch.setattr(galvin, "stable_matching", checking)
-    rng = random.Random(2817)
-    for _ in range(100):
-        n, m = rng.randint(2, 7), rng.randint(2, 7)
-        g, bip = complete_bipartite(n, m) if rng.random() < 0.5 else _random_bipartite(rng, n, m)
-        delta = g.max_degree()
-        palette = range(1, delta + rng.randint(1, 3))
-        lists = {e: frozenset(rng.sample(palette, delta)) for e in g.edges}
+    for g, bip, lists in _per_edge_instances(random.Random(2817), 100):
         list_edge_color_trace(g, bip, lists)
     assert merged_rounds > 500
 

@@ -223,7 +223,7 @@ def _against_reference(g, ell, k, node_limit=5000):
             return None
         rows = tuple({} for _ in range(k))
         for v in g.vertices():
-            search._decode_tuple(chosen[v], v, colors, rows)
+            search._write_tuple(chosen[v], v, colors, rows)
         return rows
 
     outcomes = []
@@ -301,6 +301,26 @@ def test_packing_search_runs_out_at_the_reference_node():
             assert _against_reference(g, ell, 3, limit) == (EXHAUSTED, limit + 1)
         assert _against_reference(g, ell, 3, nodes) == (outcome, nodes)
     assert tried >= 3
+
+
+def test_packing_search_matches_the_reference_past_one_byte():
+    # Lists of 300 colors hold list positions above 255, and more than 85
+    # colors at k = 3 give (coordinate, color) bits above 255: neither fits
+    # in one byte.  Colors above 256 appear in every instance.
+    rng = random.Random(300)
+    k2 = complete_graph(2)
+    shifted = ListAssignment({1: frozenset(range(1, 301)), 2: frozenset(range(2, 302))})
+    p3 = ListAssignment({v: frozenset(rng.sample(range(1, 401), 300)) for v in (1, 2, 3)})
+    for g, ell in ((k2, shifted), (path_graph(3), p3)):
+        for k in (1, 2):
+            rows, _ = _against_reference(g, ell, k)
+            assert rows not in (None, EXHAUSTED)
+    wide = ListAssignment({v: frozenset(rng.sample(range(1, 401), 30)) for v in range(1, 5)})
+    assert 3 * len(set().union(*wide.lists.values())) > 256
+    narrow = ListAssignment({v: frozenset(rng.sample(range(1, 401), 3)) for v in range(1, 5)})
+    for ell in (wide, narrow):
+        rows, _ = _against_reference(path_graph(4), ell, 3)
+        assert rows not in (None, EXHAUSTED)
 
 
 _FAILING_CHECK = """
