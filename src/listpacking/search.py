@@ -19,11 +19,15 @@ running out of budget is a distinct outcome, never a wrong answer.
 The packing search indexes the ordered k-tuples of colors from each list in
 permutations order and holds a vertex's domain as one int over those indices.
 A list's table, built once and memoized, keeps per (coordinate, color) bit
-the hit mask of the tuples that hold it, so placing a tuple narrows a
-neighbour's domain by the OR of k hit masks and one AND, whatever the
+the hit mask of the tuples that hold it, and per placed tuple the keep
+mask, the complement of the OR of its k bits' hit masks, worked out on
+first use and kept up to a fixed number of bits per table.  So placing a
+tuple narrows a neighbour's domain by one lookup and one AND, whatever the
 domain's size.  The hit masks are built whole, never tuple by tuple, once
 per list size and k: every list of m colors renames those of the positions
 0..m-1.  A tuple's own bits are decoded from its index when first tried.
+The search counts its nodes itself and calls the ticker only where the
+ticker checks its limit or its clock.
 
 Every scan is warm-started, the list-chromatic one included (it is the
 packing scan at k = 1): consecutive canonical assignments mostly share every
@@ -46,7 +50,6 @@ ticker runs dry; each public entry converts that once: `solve_packing` and
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -181,7 +184,11 @@ def _solve_packing(g: Graph, ell: ListAssignment, k: int, ticker: _Ticker) -> Pa
     """solve_packing on a given ticker, lists already checked: the packing,
     or None when there is none.  Raises _BudgetHit when the ticker runs out."""
     colors, ranks = _rank_colors(g, ell)
-    later = [()] + [ns[bisect_right(ns, v) :] for v, ns in enumerate(g._adjacency, 1)]
+    # Read off the sorted edges, so that a solve builds no `g._adjacency`,
+    # which would live as long as the graph.
+    later: list[list[int]] = [[] for _ in range(g.n + 1)]
+    for u, w in g.edges:
+        later[u].append(w)
     chosen = _packing_search(later, ranks, 1, ticker)
     if chosen is not None and k > 1:
         chosen = _packing_search(later, ranks, k, ticker)
@@ -233,24 +240,66 @@ class _Tuples(dict):
         return found
 
 
+# A table's keep masks are charged at most _KEEP_BITS bits, each mask its
+# table's width plus _KEEP_ENTRY_BITS for its dict slot, int header and key.
+_KEEP_BITS = 1 << 20
+_KEEP_ENTRY_BITS = 1 << 10
+
+
+class _Keeps(dict):
+    """Per placed tuple's bits, as another table's `_Tuples` hands them out,
+    the mask of this table's tuples that share none of those bits: the
+    complement of the OR of `hits` at them.  A mask is worked out when first
+    asked for, and kept while `room` allows; the next one past it empties
+    the dict first, and none is kept when `room` is 0."""
+
+    __slots__ = ("hits", "room")
+
+    def __init__(self, hits: defaultdict[int, int], room: int):
+        self.hits, self.room = hits, room
+
+    def __missing__(self, bits: tuple[int, ...]) -> int:
+        hits, kill = self.hits, 0
+        for b in bits:
+            kill |= hits[b]
+        keep = ~kill
+        if self.room:
+            if len(self) == self.room:
+                self.clear()
+            self[bits] = keep
+        return keep
+
+
 @lru_cache(maxsize=1024)
-def _tuple_table(ranks: tuple[int, ...], k: int) -> tuple[int, _Tuples, defaultdict[int, int]]:
+def _tuple_table(
+    ranks: tuple[int, ...], k: int
+) -> tuple[int, _Tuples, defaultdict[int, int], _Keeps]:
     """The ordered k-tuples of distinct colors from a list, given as its
     sorted color ranks, indexed 0, 1, ... in permutations order: the mask
     of all their indices, their bits as `_Tuples`, bit r*k + j for rank r
-    in coordinate j, and per bit the hit mask of the tuples that hold it,
+    in coordinate j, per bit the hit mask of the tuples that hold it,
     tuple i at bit i, 0 for a bit no tuple holds (looking one up stores
-    that 0).  Only the table of the positions 0..m-1 themselves builds its
-    hit masks; every list of m colors renames them."""
+    that 0), and per placed tuple the keep mask of the tuples it leaves.
+    Only the table of the positions 0..m-1 themselves builds its hit
+    masks; every list of m colors renames them.
+
+    The keep masks live and die with their table.  Each is charged the
+    table's width, |L|!/(|L|-k)! bits, plus _KEEP_ENTRY_BITS (1,024), and a
+    table keeps at most _KEEP_BITS (2^20) bits of them, 128 KiB: at most
+    128 MiB over the 1,024 tables the cache holds.  A table whose one mask
+    would pass that bound keeps none."""
     m = len(ranks)
     bits = [r * k + j for r in ranks for j in range(k)]
     if ranks[-1] == m - 1:  # the ranks are the positions 0..m-1 themselves
+        width = perm(m, k)
         hits = defaultdict(int, zip(bits, _position_hits(m, k)))
-        return (1 << perm(m, k)) - 1, _Tuples(bits, k, None), hits
-    full, positions, hits = _tuple_table(tuple(range(m)), k)
+        keeps = _Keeps(hits, _KEEP_BITS // (width + _KEEP_ENTRY_BITS))
+        return (1 << width) - 1, _Tuples(bits, k, None), hits, keeps
+    full, positions, hits, keeps = _tuple_table(tuple(range(m)), k)
     # The positions' masks come first in `hits`, in position order; lookups
     # only ever add zeros after them.
-    return full, _Tuples(bits, k, positions), defaultdict(int, zip(bits, hits.values()))
+    hits = defaultdict(int, zip(bits, hits.values()))
+    return full, _Tuples(bits, k, positions), hits, _Keeps(hits, keeps.room)
 
 
 def _position_hits(m: int, k: int) -> list[int]:
@@ -306,26 +355,30 @@ def _rank_colors(g: Graph, ell: ListAssignment) -> tuple[list[int], list[tuple[i
 
 
 def _packing_search(
-    later: list[tuple[int, ...]], ranks: list[tuple[int, ...]], k: int, ticker: _Ticker
+    later: Sequence[Sequence[int]], ranks: list[tuple[int, ...]], k: int, ticker: _Ticker
 ) -> list[tuple[int, ...]] | None:
     """Forward-checking search over ordered k-tuples, on the lists as
     `_rank_colors` numbers them, with `later[v]` the neighbours of vertex v
     above v: the bits of the tuple chosen for each vertex v, at index v, as
     `_tuple_table` gives them, or None.  A domain is an int over the
-    indices of its list's tuples; placing a tuple strikes from each later
-    neighbour's domain the tuples that share one of its k (coordinate,
-    color) bits, the OR of that neighbour's hit masks at those bits, so
-    narrowing costs k lookups and one AND whatever the domain's size.  A
-    vertex tries its domain's tuples lowest index first, which is
-    permutations order."""
+    indices of its list's tuples; placing a tuple keeps in each later
+    neighbour's domain only the tuples that share none of its k
+    (coordinate, color) bits, by one AND with that neighbour's table's
+    keep mask for the placed tuple, so narrowing costs one lookup and one
+    AND whatever the domain's size.  A vertex tries its domain's tuples
+    lowest index first, which is permutations order.
+
+    Nodes are counted in a local and handed to `ticker.spend()` only at
+    the counts where it checks its limit or its clock; the ticker holds
+    the count again whenever the search returns or raises."""
     n = len(ranks)
     chosen: list[tuple[int, ...]] = [()] * (n + 1)
     if n == 0:
         return chosen
-    tables = [(0, {}, {})] + [_tuple_table(r, k) for r in ranks]
+    tables = [(0, {}, {}, {})] + [_tuple_table(r, k) for r in ranks]
     domains = [t[0] for t in tables]
     tuples = [t[1] for t in tables]
-    hits = [t[2] for t in tables]
+    keeps = [t[3] for t in tables]
     # Depth-first with an explicit stack: per vertex, the tuples of its
     # domain on arrival it has yet to try, and the (neighbour, old domain)
     # pairs its current tuple replaced, put back before it tries the next.
@@ -333,7 +386,10 @@ def _packing_search(
     # later[v] are unplaced.
     untried = [0] * (n + 1)
     saved: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    spend = ticker.spend
+    spend, limit, nodes = ticker.spend, ticker.node_limit, ticker.nodes
+    # The ticker acts past its limit and at every 256th node; below `stop`,
+    # counting a node is all that spending it does.
+    stop = min(limit, nodes | 255)
     v = 1
     untried[v] = domains[v]
     while True:
@@ -346,19 +402,20 @@ def _packing_search(
         if not rest:
             v -= 1
             if v == 0:
+                ticker.nodes = nodes
                 return None
             continue
         low = rest & -rest
         untried[v] = rest ^ low
         p = tuples[v][low.bit_length() - 1]
-        spend()
+        nodes += 1
+        if nodes > stop:
+            ticker.nodes = nodes - 1
+            spend()
+            stop = min(limit, nodes | 255)
         for w in later[v]:
-            hit = hits[w]
-            kill = 0
-            for b in p:
-                kill |= hit[b]
             old = domains[w]
-            kept = old & ~kill
+            kept = old & keeps[w][p]
             if not kept:
                 break
             undo.append((w, old))
@@ -369,6 +426,7 @@ def _packing_search(
                 break
             v += 1
             untried[v] = domains[v]
+    ticker.nodes = nodes
     return chosen
 
 
@@ -670,7 +728,7 @@ def _refit_last_vertex(
     one node."""
     ticker.spend()
     k = len(rows)
-    free, tuples, hits = _tuple_table(tuple(range(len(colors))), k)
+    free, tuples, hits, _ = _tuple_table(tuple(range(len(colors))), k)
     taken = 0
     for r, c in enumerate(colors):
         taken |= used.get(c, 0) << r * k

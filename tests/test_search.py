@@ -8,7 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import combinations, count, islice, permutations, product
 from types import SimpleNamespace
 
@@ -301,6 +301,82 @@ def test_packing_search_runs_out_at_the_reference_node():
             assert _against_reference(g, ell, 3, limit) == (EXHAUSTED, limit + 1)
         assert _against_reference(g, ell, 3, nodes) == (outcome, nodes)
     assert tried >= 3
+
+
+def test_packing_search_runs_out_at_the_reference_node_around_clock_checks():
+    # The ticker also reads its clock at every 256th node: limits on either
+    # side of the 256th and 512th nodes run out at the same node in both
+    # loops, on an instance whose whole search takes more nodes than that.
+    g, ell = list(_workload_instances(5, 44))[4]
+    assert _against_reference(g, ell, 3) == (None, 798)
+    for limit in (255, 256, 257, 511, 512, 513):
+        assert _against_reference(g, ell, 3, limit) == (EXHAUSTED, limit + 1)
+
+
+def test_a_passed_deadline_stops_a_solve_at_the_256th_node(monkeypatch):
+    # Each clock reading is 1000 s after the last, so the 60 s deadline has
+    # passed by the first clock check, at the 256th node and not before.
+    clock = count(0.0, 1000.0)
+    monkeypatch.setattr(search.time, "monotonic", lambda: next(clock))
+    k7 = complete_graph(7)
+    ell = ListAssignment({v: frozenset(range(1, 8)) - {v} for v in k7.vertices()})
+    result = solve_packing(k7, ell, 5)
+    assert result.status == EXHAUSTED and result.nodes == 256
+
+
+@pytest.fixture
+def keep_resets(monkeypatch):
+    """The sizes at which tables' keep masks were emptied, in order."""
+    resets = []
+
+    def clear(keeps):
+        resets.append(len(keeps))
+        dict.clear(keeps)
+
+    monkeypatch.setattr(search._Keeps, "clear", clear)
+    return resets
+
+
+def test_keep_masks_empty_when_full_and_a_table_without_room_keeps_none(keep_resets):
+    hits = defaultdict(int, {0: 0b0011, 1: 0b0101, 2: 0b1001})
+    keeps = search._Keeps(hits, 2)
+    assert [keeps[(0,)], keeps[(1, 2)], keeps[(0,)]] == [~0b0011, ~0b1101, ~0b0011]
+    assert keep_resets == [] and list(keeps) == [(0,), (1, 2)]
+    assert keeps[(2,)] == ~0b1001
+    assert keep_resets == [2] and list(keeps) == [(2,)]
+    keeps = search._Keeps(hits, 0)
+    assert keeps[(0, 1)] == ~0b0111 and not keeps
+
+
+def test_keep_masks_stay_within_their_bound_on_a_wide_search(keep_resets):
+    # K_9 with the lists {1..9} minus v at size 6: each list has 8!/2! =
+    # 20,160 tuples, so a table keeps 49 masks, and 300,000 nodes place far
+    # more distinct tuples than that.
+    k9 = complete_graph(9)
+    ell = ListAssignment({v: frozenset(range(1, 10)) - {v} for v in k9.vertices()})
+    result = solve_packing(k9, ell, 6, SearchBudget(node_limit=300_000))
+    assert result.status == EXHAUSTED and result.nodes == 300_001
+    assert keep_resets
+    _, ranks = search._rank_colors(k9, ell)
+    for r in ranks:
+        full, _, _, keeps = search._tuple_table(r, 6)
+        width = full.bit_length()
+        assert width == 20_160
+        assert len(keeps) * (width + search._KEEP_ENTRY_BITS) <= search._KEEP_BITS
+        assert all(0 <= ~keep <= full for keep in keeps.values())
+    assert max(keep_resets) == search._KEEP_BITS // (20_160 + search._KEEP_ENTRY_BITS)
+
+
+def test_packing_search_matches_the_reference_across_keep_mask_resets(keep_resets):
+    # K_8 with lists of 8 from 1..9 at size 7: each table is 40,320 tuples
+    # wide and keeps 25 masks, and the search empties them many times
+    # before it finds a packing.
+    k8 = complete_graph(8)
+    missing = (7, 1, 8, 4, 7, 7, 3, 6)
+    ell = ListAssignment({v: frozenset(range(1, 10)) - {missing[v - 1]} for v in k8.vertices()})
+    rows, nodes = _against_reference(k8, ell, 7)
+    assert rows not in (None, EXHAUSTED) and nodes == 2314
+    assert len(keep_resets) > 10
 
 
 def test_packing_search_matches_the_reference_past_one_byte():
