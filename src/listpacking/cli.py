@@ -75,6 +75,7 @@ def _load_graph(args) -> Graph:
 
 
 def cmd_pack_complete(args) -> int:
+    _budget(args)  # checks the flags; the engine takes no budget yet (ROADMAP item 2)
     if args.n < 1:
         raise ValueError(f"need at least one vertex, got n={args.n}")
     # Parsing needs only the vertex set, so the lists are checked against
@@ -124,6 +125,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_edge_color(args) -> int:
+    _budget(args)  # checks the flags; the engine takes no budget yet (ROADMAP item 2)
     g = _load_graph(args)
     # The lists file is checked before bipartition walks every vertex, so a
     # bad one is refused before any per-vertex work.  A good one still pays

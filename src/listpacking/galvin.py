@@ -14,33 +14,37 @@ lists of size at least the maximum degree never run dry.
 Cost: once per graph and bipartition, the base coloring is built, each edge
 gets an id (its place in sorted edge order), is oriented into (X-vertex,
 Y-vertex, base color) in id-indexed lists, and each X-vertex's edge ids are
-sorted into its preference order, whose base colors are checked there to
-fall strictly.  These depend on nothing else, so the last pair's tables are
-kept for the next run: for K_{300,300} they hold about 27 MiB, the graph
-included, after the run returns.  Every run still checks the edge lists,
-builds its color index and calls the round functions.  The color index holds
-groups: an X-vertex's edge ids with one list, kept in that vertex's
-preference order as a live list of the uncolored ones.  A round's pool has
-one form: a list of proposer lists, one per X-vertex, each nonempty and
-strictly falling in base color.  They are its color's live groups, except
-that an X-vertex with several groups wanting the color gets their ids merged
-best first, which only a list per edge brings about.  The engine keeps that
-form, as the live lists are cut from the checked order and only lose ids,
-and a merge is sorted; the round functions trust it, so no round builds or
-checks its pool.  The matching walks the lists, reading the rest off the
-id-indexed lists, and the kernel check range-tests each matched id before
-reading its ends, then walks each list once, up to the proposer's matched
-edge: the ids it proposed along, since the order absorbs those behind it at
-x.  Neither round function allocates anything sized by the vertex count, so
-a round costs O(proposals made), even when the graph has far more vertices
-than the pool has edges.  Each round is recorded as (color, matched ids):
-the trace rebuilds pools off the lists and the final coloring, sorts
-matchings and decodes ids to edges only when its rounds are read, and counts
-deletions only when they are read, so a caller that drops the trace pays for
-none of it.  Each coloring a public entry point hands out is checked once,
-by a checker that shares nothing with the rounds: `list_edge_color` runs
-`verify_edge_coloring` on it, and pack_complete, which runs the engine
-itself, checks the packing it reads off the coloring instead.
+sorted into its preference order, whose base colors are checked there to fall
+strictly.  These depend on nothing else, so the last pair's tables are kept
+for the next run: for K_{300,300} they hold about 23 MiB, the graph included,
+after a pack_complete run returns.  Every run still reads the edge lists, builds its color
+index and calls the round functions.  It reads each edge's list once, by id,
+and checks the lists off that read: their number against the edge count, each
+id's list for presence, and each group's list, not each edge's, for its size;
+only a run that fails reads them again, to name its fault.  The color index
+holds groups: an X-vertex's edge ids with one list, kept in that vertex's
+preference order as a live list of the uncolored ones, and an id-indexed list
+of each id's group, which a matched id leaves by one lookup.  A round's pool
+has one form: a list of proposer lists, one per X-vertex, each nonempty and
+strictly falling in base color.  They are its color's live groups, except that
+an X-vertex with several groups wanting the color gets their ids merged best
+first, which only a list per edge brings about.  The engine keeps that form,
+as the live lists are cut from the checked order and only lose ids, and a
+merge is sorted; the round functions trust it, so no round builds or checks
+its pool.  The matching walks the lists, reading the rest off the id-indexed
+lists, and the kernel check range-tests each matched id before reading its
+ends, then walks each list once, up to the proposer's matched edge: the ids it
+proposed along, since the order absorbs those behind it at x.  Neither round
+function allocates anything sized by the vertex count, so a round costs
+O(proposals made), even when the graph has far more vertices than the pool has
+edges.  Each round is recorded as (color, the set of matched ids the matching
+returned), with no copy: the trace rebuilds pools off the lists and the final
+coloring, sorts matchings and decodes ids to edges only when its rounds are
+read, and counts deletions only when they are read, so a caller that drops the
+trace pays for none of it.  Each coloring a public entry point hands out is
+checked once, by a checker that shares nothing with the rounds:
+`list_edge_color` runs `verify_edge_coloring` on it, and pack_complete, which
+runs the engine itself, checks the packing it reads off the coloring instead.
 """
 
 from __future__ import annotations
@@ -129,11 +133,11 @@ class RoundTrace:
 
 @dataclass
 class GalvinTrace:
-    """Each round as the engine recorded it, (color, matched ids), and per
-    edge id its list and its color.  `rounds` and `deletions` are built on
+    """Each round as the engine recorded it, (color, set of matched ids),
+    and per edge id its list and its color.  `rounds` and `deletions` are built on
     first read."""
 
-    records: list[tuple[int, tuple[int, ...]]] = field(repr=False)
+    records: list[tuple[int, set[int]]] = field(repr=False)
     edges: tuple[Edge, ...] = field(repr=False)
     lists: list[frozenset[int]] = field(repr=False)
     colors: list[int] = field(repr=False)
@@ -323,6 +327,17 @@ def list_edge_color(g: Graph, bip: Bipartition, edge_lists: EdgeListAssignment) 
     return coloring
 
 
+def _reject(edges: tuple[Edge, ...], edge_lists: EdgeListAssignment, delta: int) -> None:
+    """Raise the error for edge lists that failed the engine's quick checks:
+    the domain first, then the first short list in the lists' own order."""
+    if edge_lists.keys() != set(edges):
+        raise ValueError("edge list domain does not match the edge set")
+    for e, colors in edge_lists.items():
+        if len(colors) < delta:
+            raise ValueError(f"list at edge {e} has {len(colors)} colors, need at least {delta}")
+    raise RuntimeError("internal error: edge lists rejected without a fault")
+
+
 def list_edge_color_trace(
     g: Graph, bip: Bipartition, edge_lists: EdgeListAssignment
 ) -> tuple[EdgeColoring, GalvinTrace]:
@@ -334,56 +349,66 @@ def list_edge_color_trace(
     a stable matching of the alpha-wanting edges, re-checked by kernel_check,
     and deletes alpha from the unmatched ones.
 
+    Each edge's list is read once, by id.  The domain is checked off that
+    read (as many lists as edges, none missing) and the sizes once per
+    X-vertex and list; a failure scans `edge_lists` again, in its own
+    order, and names the domain first, else the first short list.  Lists
+    are read with `.get`, so a dict subclass's `__missing__` never runs.
+
     The engine checks each X-vertex's order once per graph, each round's
     matching with kernel_check, and that no list ran dry.  It leaves the
     finished coloring to its callers: `list_edge_color` verifies it with
     `verify_edge_coloring`, and pack_complete checks the packing it reads
     off it with `is_proper_packing`."""
     prefs = _preferences(g, bip)  # checks bip before any list is read
-    if edge_lists.keys() != g._edge_set:
-        raise ValueError("edge list domain does not match the edge set")
-    delta = g.max_degree()
-    for e, colors in edge_lists.items():
-        if len(colors) < delta:
-            raise ValueError(f"list at edge {e} has {len(colors)} colors, need at least {delta}")
     edges = prefs.edges
-    x_end, _, base_color = prefs.oriented
-    order_ids = prefs.order_ids  # order-checked once per graph
-    lists = [*map(edge_lists.__getitem__, edges)]  # id -> its list
+    # .get, so that a dict subclass's __missing__ neither answers nor adds a key.
+    lists = [*map(edge_lists.get, edges)]  # id -> its list, None if missing
+    delta = g.max_degree()
+    if len(edge_lists) != len(edges):
+        _reject(edges, edge_lists, delta)
+    by_base_color = prefs.oriented[2].__getitem__
     # Groups: an X-vertex's ids with one list, kept best first as a live list
-    # of the uncolored ones.  wanting[c] = the live lists of the groups whose
-    # list holds c, one per X-vertex; merging[c] = per X-vertex with several
-    # such groups, their live lists, to be merged best first each round.
-    groups_at: dict[int, dict[frozenset[int], list[int]]] = {}
+    # of the uncolored ones; live[i] = id i's live list.  wanting[c] = the
+    # live lists of the groups whose list holds c, one per X-vertex;
+    # merging[c] = per X-vertex with several such groups, their live lists,
+    # to be merged best first each round.
+    live: list[list[int] | None] = [None] * len(edges)
     wanting: dict[int, list[list[int]]] = {}
     merging: dict[int, list[list[list[int]]]] = {}
-    for x, ids in order_ids.items():
-        groups = groups_at[x] = {}
+    for ids in prefs.order_ids.values():  # order-checked once per graph
+        groups: dict[frozenset[int] | None, list[int]] = {}
         for colors, run in groupby(ids, lists.__getitem__):
             groups.setdefault(colors, []).extend(run)  # index's ints: one object per id
+        for colors, group in groups.items():
+            if colors is None or len(colors) < delta:
+                _reject(edges, edge_lists, delta)
+            for i in group:
+                live[i] = group
         if len(groups) == 1:  # one list at x, as in pack_complete: ~7% of a pack-tight call
-            [(colors, live)] = groups.items()
+            [(colors, group)] = groups.items()
             for c in colors:
-                wanting.setdefault(c, []).append(live)
+                wanting.setdefault(c, []).append(group)
             continue
         by_color: dict[int, list[list[int]]] = {}
-        for colors, live in groups.items():
+        for colors, group in groups.items():
             for c in colors:
-                by_color.setdefault(c, []).append(live)
+                by_color.setdefault(c, []).append(group)
         for c, lives in by_color.items():
             if len(lives) == 1:
                 wanting.setdefault(c, []).append(lives[0])
             else:
                 merging.setdefault(c, []).append(lives)
     color: list[int | None] = [None] * len(edges)
-    records: list[tuple[int, tuple[int, ...]]] = []
+    records: list[tuple[int, set[int]]] = []
     for alpha in sorted(wanting.keys() | merging.keys()):
         # One list per proposer, best first: the pool needs no set.
-        proposals = [live for live in wanting.pop(alpha, ()) if live]
-        for lives in merging.pop(alpha, ()):
-            merged = sorted(chain.from_iterable(lives), key=base_color.__getitem__, reverse=True)
-            if merged:
-                proposals.append(merged)
+        proposals = [*filter(None, wanting.pop(alpha, ()))]
+        if merging:
+            for lives in merging.pop(alpha, ()):
+                merged = sorted(chain.from_iterable(lives), key=by_base_color, reverse=True)
+                if merged:
+                    proposals.append(merged)
         if not proposals:
             continue
         matched = stable_matching(proposals, prefs)
@@ -391,8 +416,8 @@ def list_edge_color_trace(
             raise RuntimeError("internal error: round matching is not a kernel")
         for i in matched:
             color[i] = alpha
-            groups_at[x_end[i]][lists[i]].remove(i)
-        records.append((alpha, tuple(matched)))
+            live[i].remove(i)
+        records.append((alpha, matched))
     if None in color:
         e = edges[color.index(None)]
         raise RuntimeError(f"internal error: list at {e} ran dry: {len(edge_lists[e])} colors")

@@ -417,6 +417,31 @@ def test_edge_color_command(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--budget-nodes", "0"), ("--budget-nodes", "-5"), ("--budget-seconds", "nan"),
+     ("--budget-seconds", "-1")],
+)
+@pytest.mark.parametrize("command", ["pack-complete", "edge-color"])
+def test_engine_commands_reject_invalid_budgets(tmp_path, capsys, command, flag, value):
+    # Valid inputs otherwise: the bad budget alone is refused, before any
+    # work and without an output file, as every other command refuses it.
+    out = tmp_path / "out.json"
+    if command == "pack-complete":
+        lists = write(tmp_path, "l.json", lists_json({v: [1, 2, 3] for v in (1, 2, 3)}))
+        argv = ["pack-complete", "-n", "3", "--lists", lists]
+    else:
+        g, _ = complete_bipartite(2, 3)
+        graph = write(tmp_path, "k23.col", format_graph(g))
+        lists = write(tmp_path, "el.json", json.dumps({f"{u}-{v}": [1, 2, 3] for u, v in g.edges}))
+        argv = ["edge-color", "--graph", graph, "--edge-lists", lists]
+    assert main([*argv, flag, value, "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["STATUS=error VALUE="]
+    assert "budget limits must be positive" in captured.err
+    assert not out.exists()
+
+
 def test_edge_color_output_at_scale_matches_pinned_digest(tmp_path, capsys):
     # A non-complete bipartite graph, so the base coloring comes from
     # augmenting paths: 2533 edges, max degree 56, lists of size 56 from 112

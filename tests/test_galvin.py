@@ -3,7 +3,7 @@ from __future__ import annotations
 import hashlib
 import random
 import tracemalloc
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import chain, combinations
 
 import pytest
@@ -379,6 +379,56 @@ def test_a_short_list_is_named_as_the_first_in_edge_list_order():
     assert str(info.value) == "list at edge (2, 6) has 2 colors, need at least 3"
 
 
+_DOMAIN_MESSAGE = "edge list domain does not match the edge set"
+
+
+def _k23_lists():
+    g, bip = complete_bipartite(2, 3)  # X = {1, 2}, Y = {3, 4, 5}, degree 3
+    return g, bip, {e: frozenset({1, 2, 3}) for e in g.edges}
+
+
+@pytest.mark.parametrize("change", ["missing edge", "extra key", "reversed key"])
+def test_lists_off_the_edge_set_are_refused(change):
+    g, bip, lists = _k23_lists()
+    if change == "missing edge":
+        del lists[(2, 4)]
+    elif change == "extra key":
+        lists[(1, 2)] = frozenset({1, 2, 3})  # both ends in X: no edge
+    else:
+        lists[(4, 2)] = lists.pop((2, 4))  # as many keys as edges, one reversed
+    with pytest.raises(ValueError) as info:
+        list_edge_color_trace(g, bip, lists)
+    assert str(info.value) == _DOMAIN_MESSAGE
+
+
+@pytest.mark.parametrize("extra", [False, True])
+def test_a_defaultdict_lacking_an_edge_is_refused_and_left_unchanged(extra):
+    # Its missing edge must be neither filled in by the default nor added.
+    g, bip, plain = _k23_lists()
+    lists = defaultdict(frozenset, plain)
+    del lists[(2, 4)]
+    if extra:
+        lists[(4, 2)] = frozenset({1, 2, 3})
+    keys = len(lists)
+    with pytest.raises(ValueError) as info:
+        list_edge_color_trace(g, bip, lists)
+    assert str(info.value) == _DOMAIN_MESSAGE
+    assert len(lists) == keys and (2, 4) not in lists
+
+
+@pytest.mark.parametrize("extra", [False, True])
+def test_the_domain_is_named_before_a_short_list(extra):
+    # The short list sits at the first X-vertex, the missing edge at the last.
+    g, bip, lists = _k23_lists()
+    lists[(1, 3)] = frozenset({1})
+    del lists[(2, 5)]
+    if extra:
+        lists[(5, 2)] = frozenset({1, 2, 3})
+    with pytest.raises(ValueError) as info:
+        list_edge_color_trace(g, bip, lists)
+    assert str(info.value) == _DOMAIN_MESSAGE
+
+
 def _exhaustive_list_edge_colorable(g, lists) -> bool:
     edges = list(g.edges)
 
@@ -684,6 +734,25 @@ def test_pack_complete_rows_match_pinned_digest():
             runs.append([sorted(row.items()) for row in packing.rows])
     assert _digest(runs) == (
         "cf728d0af1f342515d4ae7b626e2cc451bb77653912c68f051179cb797a36328"
+    )
+
+
+def test_wide_palette_pack_complete_rows_match_pinned_digest():
+    # The pack-wide regime at n = m = 24: lists from n*m = 576 colors, so
+    # about 87% of the rounds have one or two proposers, where the digests
+    # above mostly have many.  Recorded on the engine that found a matched
+    # edge's live group through its X-vertex and its list.
+    n = 24
+    runs = []
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        lists = ListAssignment(
+            {v: frozenset(rng.sample(range(1, n * n + 1), n)) for v in range(1, n + 1)}
+        )
+        packing = pack_complete(PackRequest(n, lists, n))
+        runs.append([sorted(row.items()) for row in packing.rows])
+    assert _digest(runs) == (
+        "89193158469484389e22f9f03fb66dfa2ac5a5725c5c493a1d99aeba31afc68d"
     )
 
 
